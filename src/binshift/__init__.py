@@ -48,12 +48,9 @@ from .exactnum import (
     promote,
     quad_domain,
     render_scalar,
-    scalar_add,
     scalar_inv,
-    scalar_mul,
-    scalar_neg,
-    scalar_pow,
     one,
+    unify,
     zero,
 )
 from .families import (
@@ -150,11 +147,8 @@ __all__ = [
     "promote",
     "quad_domain",
     "render_scalar",
-    "scalar_add",
     "scalar_inv",
-    "scalar_mul",
-    "scalar_neg",
-    "scalar_pow",
+    "unify",
     "zero",
     # prefixes and the transform
     "SequencePrefix",

@@ -16,10 +16,19 @@ domains along those routes, or raises :class:`DomainMismatch`.  There is no
 route between polynomials and quadratic fields, between quadratic fields
 with different radicands, or between non-constant polynomials in different
 indeterminates.
+
+Values are validated once, by the public constructors (``Poly(...)``,
+``Quad(...)``, :func:`poly_domain`, :func:`quad_domain`) and by
+:func:`promote`, which calls them.  Results of arithmetic on valid values
+are built by the unchecked ``_new`` constructors and skip validation: their
+components are already Fractions and their radicand or indeterminate name
+comes from a validated operand.  :func:`unify` is the one place that joins
+the domains of a collection of values and promotes each into the result.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,13 +50,10 @@ __all__ = [
     "domain_of",
     "join_domains",
     "promote",
+    "unify",
     "zero",
     "one",
-    "scalar_add",
-    "scalar_mul",
-    "scalar_neg",
     "scalar_inv",
-    "scalar_pow",
     "render_scalar",
     "parse_scalar",
 ]
@@ -67,10 +73,13 @@ def _as_fraction(value: object) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+@functools.lru_cache(maxsize=256)
 def is_squarefree(n: int) -> bool:
     """True if no square larger than 1 divides ``n`` (sign ignored).
 
-    Zero is not squarefree. Trial division; radicands here are small.
+    Zero is not squarefree.  Trial division takes O(sqrt(n)) steps, about
+    10^6 for a prime near 10^12, so the result is cached per radicand:
+    every ``Quad(...)`` checks its radicand, and a computation uses few.
     """
     n = abs(n)
     if n == 0:
@@ -142,13 +151,21 @@ class Poly:
     __slots__ = ("_coeffs", "_var")
 
     def __init__(self, coeffs: Iterable[int | Fraction] = (), var: str = "x"):
-        if not (isinstance(var, str) and var.isidentifier()):
-            raise ValueError(f"indeterminate name must be an identifier, got {var!r}")
+        poly_domain(var)
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
         self._var = var
+
+    @classmethod
+    def _new(cls, coeffs: Iterable[Fraction], var: str) -> "Poly":
+        """Unchecked constructor for arithmetic results: ``coeffs`` are
+        Fractions without trailing zeros and ``var`` is a valid name."""
+        self = object.__new__(cls)
+        self._coeffs = tuple(coeffs)
+        self._var = var
+        return self
 
     @classmethod
     def indeterminate(cls, var: str = "x") -> "Poly":
@@ -197,7 +214,7 @@ class Poly:
 
     def __add__(self, other: object) -> "Poly":
         if isinstance(other, int) and not isinstance(other, bool):
-            other = Poly((other,), self._var)
+            other = Poly._new((Fraction(other),), self._var)
         if not isinstance(other, Poly):
             return NotImplemented
         var = self._merged_var(other)
@@ -207,12 +224,14 @@ class Poly:
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return Poly(out, var)
+        while out and out[-1] == 0:
+            out.pop()
+        return Poly._new(out, var)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self._coeffs), self._var)
+        return Poly._new([-c for c in self._coeffs], self._var)
 
     def __sub__(self, other: object) -> "Poly":
         if isinstance(other, Poly):
@@ -227,19 +246,19 @@ class Poly:
     def __mul__(self, other: object) -> "Poly":
         if isinstance(other, int) and not isinstance(other, bool):
             if other == 0:
-                return Poly((), self._var)
-            return Poly(tuple(c * other for c in self._coeffs), self._var)
+                return Poly._new((), self._var)
+            return Poly._new([c * other for c in self._coeffs], self._var)
         if not isinstance(other, Poly):
             return NotImplemented
         var = self._merged_var(other)
         if self.is_zero or other.is_zero:
-            return Poly((), var)
+            return Poly._new((), var)
         a, b = self._coeffs, other._coeffs
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return Poly(out, var)
+        return Poly._new(out, var)
 
     __rmul__ = __mul__
 
@@ -248,7 +267,7 @@ class Poly:
             return NotImplemented
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly((1,), self._var)
+        result = Poly._new((Fraction(1),), self._var)
         base = self
         while n:
             if n & 1:
@@ -334,13 +353,20 @@ class Quad:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, a: int | Fraction, b: int | Fraction, d: int):
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise TypeError("radicand must be an int")
-        if d in (0, 1) or not is_squarefree(d):
-            raise ValueError(f"radicand must be squarefree and not 0 or 1, got {d}")
+        quad_domain(d)
         self._a = _as_fraction(a)
         self._b = _as_fraction(b)
         self._d = d
+
+    @classmethod
+    def _new(cls, a: Fraction, b: Fraction, d: int) -> "Quad":
+        """Unchecked constructor for arithmetic results: ``a`` and ``b``
+        are Fractions and ``d`` is a valid radicand."""
+        self = object.__new__(cls)
+        self._a = a
+        self._b = b
+        self._d = d
+        return self
 
     @property
     def a(self) -> Fraction:
@@ -364,7 +390,7 @@ class Quad:
         return self._a
 
     def conjugate(self) -> "Quad":
-        return Quad(self._a, -self._b, self._d)
+        return Quad._new(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2; zero only for the zero element."""
@@ -374,11 +400,11 @@ class Quad:
         if self._a == 0 and self._b == 0:
             raise DivisionByZero("cannot invert zero")
         n = self.norm()
-        return Quad(self._a / n, -self._b / n, self._d)
+        return Quad._new(self._a / n, -self._b / n, self._d)
 
     def _coerced(self, other: object) -> "Quad | None":
         if isinstance(other, int) and not isinstance(other, bool):
-            return Quad(other, 0, self._d)
+            return Quad._new(Fraction(other), Fraction(0), self._d)
         if isinstance(other, Quad):
             if other._d != self._d:
                 raise DomainMismatch(
@@ -391,30 +417,30 @@ class Quad:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return Quad(self._a + o._a, self._b + o._b, self._d)
+        return Quad._new(self._a + o._a, self._b + o._b, self._d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Quad":
-        return Quad(-self._a, -self._b, self._d)
+        return Quad._new(-self._a, -self._b, self._d)
 
     def __sub__(self, other: object) -> "Quad":
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return Quad(self._a - o._a, self._b - o._b, self._d)
+        return Quad._new(self._a - o._a, self._b - o._b, self._d)
 
     def __rsub__(self, other: object) -> "Quad":
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return Quad(o._a - self._a, o._b - self._b, self._d)
+        return Quad._new(o._a - self._a, o._b - self._b, self._d)
 
     def __mul__(self, other: object) -> "Quad":
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return Quad(
+        return Quad._new(
             self._a * o._a + self._d * self._b * o._b,
             self._a * o._b + self._b * o._a,
             self._d,
@@ -427,7 +453,7 @@ class Quad:
             return NotImplemented
         if n < 0:
             raise ValueError("negative power; use scalar_inv for inversion")
-        result = Quad(1, 0, self._d)
+        result = Quad._new(Fraction(1), Fraction(0), self._d)
         base = self
         while n:
             if n & 1:
@@ -528,6 +554,25 @@ def promote(x: Scalar, dom: Domain) -> Scalar:
     raise DomainMismatch(f"cannot promote {cur} value into {dom}")
 
 
+def unify(
+    values: Iterable[Scalar], domain: Domain | None = None
+) -> tuple[Domain | None, tuple[Scalar, ...]]:
+    """Join the domains of ``values`` (and ``domain``, if given) and
+    promote every value into the result.
+
+    Values already in the joined domain are kept as they are.  The domain
+    is ``None`` only when ``values`` is empty and no ``domain`` is given.
+    """
+    vals = list(values)
+    doms = [domain_of(v) for v in vals]
+    dom = domain
+    for dv in doms:
+        dom = dv if dom is None else join_domains(dom, dv)
+    return dom, tuple(
+        v if dv == dom else promote(v, dom) for v, dv in zip(vals, doms)
+    )
+
+
 def zero(dom: Domain) -> Scalar:
     if dom.kind == "int":
         return 0
@@ -548,29 +593,6 @@ def one(dom: Domain) -> Scalar:
     return Quad(1, 0, dom.d)
 
 
-def _require_same_domain(x: Scalar, y: Scalar) -> None:
-    dx, dy = domain_of(x), domain_of(y)
-    if dx != dy:
-        raise DomainMismatch(f"operands live in {dx} and {dy}; promote first")
-
-
-def scalar_add(x: Scalar, y: Scalar) -> Scalar:
-    """Sum of two scalars from the same domain."""
-    _require_same_domain(x, y)
-    return x + y
-
-
-def scalar_mul(x: Scalar, y: Scalar) -> Scalar:
-    """Product of two scalars from the same domain."""
-    _require_same_domain(x, y)
-    return x * y
-
-
-def scalar_neg(x: Scalar) -> Scalar:
-    domain_of(x)
-    return -x
-
-
 def scalar_inv(x: Scalar) -> Scalar:
     """Exact multiplicative inverse in a field domain (rat or quad)."""
     dom = domain_of(x)
@@ -581,16 +603,6 @@ def scalar_inv(x: Scalar) -> Scalar:
     if dom.kind == "quad":
         return x.inverse()
     raise NonInvertibleDomain(f"{dom} is not a field; promote to rat or quad first")
-
-
-def scalar_pow(x: Scalar, n: int) -> Scalar:
-    """x**n for integer n >= 0 (exact; x**0 is the domain's one)."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("exponent must be an int")
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    domain_of(x)
-    return x**n
 
 
 def render_scalar(x: Scalar) -> str:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnknownFamily
-from .exactnum import Poly, Quad, Scalar, domain_of, join_domains, poly_domain
+from .exactnum import Poly, Quad, Scalar, unify
 from .models import BinetForm
 from .recurrence import CharPoly, Recurrence, transform_recurrence, unroll
 from .transform import SequencePrefix, apply_transform
@@ -67,10 +67,7 @@ class FamilySpec:
 
     @property
     def domain(self):
-        dom = join_domains(domain_of(self.p), domain_of(self.q))
-        for v in self.init:
-            dom = join_domains(dom, domain_of(v))
-        return dom
+        return unify((self.p, self.q, *self.init))[0]
 
 
 _X = Poly.indeterminate("x")

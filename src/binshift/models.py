@@ -33,6 +33,7 @@ from .exactnum import (
     one,
     promote,
     render_scalar,
+    unify,
     zero,
 )
 from .recurrence import CharPoly, Recurrence
@@ -66,15 +67,11 @@ class BinetForm:
         pairs = [(c, rho) for c, rho in terms]
         if not pairs:
             raise ValueError("a closed form needs at least one term")
-        dom = RAT
-        for c, rho in pairs:
-            dom = join_domains(dom, join_domains(domain_of(c), domain_of(rho)))
+        dom, flat = unify((x for pair in pairs for x in pair), RAT)
         if dom.kind not in ("rat", "quad"):
             raise DomainMismatch(f"closed forms need a field domain, got {dom}")
         self._domain = dom
-        self._terms = tuple(
-            (promote(c, dom), promote(rho, dom)) for c, rho in pairs
-        )
+        self._terms = tuple(zip(flat[::2], flat[1::2]))
         roots = [rho for _, rho in self._terms]
         for i, x in enumerate(roots):
             for y in roots[i + 1 :]:
@@ -120,11 +117,8 @@ def binet_eval(form: BinetForm, n: int) -> Scalar:
 
 def binet_shift(form: BinetForm, r: Scalar) -> BinetForm:
     """Closed form of the shift-r transform: same weights, roots + r."""
-    target = join_domains(form.domain, domain_of(r))
-    rp = promote(r, target)
-    return BinetForm(
-        [(promote(c, target), promote(rho, target) + rp) for c, rho in form.terms]
-    )
+    _, (rp, *roots) = unify((r, *(rho for _, rho in form.terms)), form.domain)
+    return BinetForm([(c, rho + rp) for (c, _), rho in zip(form.terms, roots)])
 
 
 class MatrixModel:
@@ -144,16 +138,11 @@ class MatrixModel:
             raise ValueError("matrix must be square and nonempty")
         if len(u) != dim or len(v) != dim:
             raise ValueError(f"u and v must have length {dim}")
-        dom: Domain | None = None
-        for value in (x for row in rows for x in row):
-            dv = domain_of(value)
-            dom = dv if dom is None else join_domains(dom, dv)
-        for value in (*u, *v):
-            dom = join_domains(dom, domain_of(value))
-        self._domain = dom
-        self._matrix = tuple(tuple(promote(x, dom) for x in row) for row in rows)
-        self._u = tuple(promote(x, dom) for x in u)
-        self._v = tuple(promote(x, dom) for x in v)
+        self._domain, flat = unify([*(x for row in rows for x in row), *u, *v])
+        square = dim * dim
+        self._matrix = tuple(flat[i : i + dim] for i in range(0, square, dim))
+        self._u = flat[square : square + dim]
+        self._v = flat[square + dim :]
 
     @property
     def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -226,21 +215,21 @@ def matrix_transform_eval(model: MatrixModel, r: Scalar, n: int) -> Scalar:
     if n < 0:
         raise ValueError("index must be nonnegative")
     target = join_domains(model.domain, domain_of(r))
+    if target != model.domain:
+        # The constructor joins every entry, so a widened v widens the model.
+        model = MatrixModel(model.matrix, model.u, unify(model.v, target)[1])
     rp = promote(r, target)
     zero_s = zero(target)
     shifted = tuple(
-        tuple(
-            promote(x, target) + rp if i == j else promote(x, target)
-            for j, x in enumerate(row)
-        )
+        tuple(x + rp if i == j else x for j, x in enumerate(row))
         for i, row in enumerate(model.matrix)
     )
-    w = [promote(x, target) for x in model.v]
+    w = model.v
     for _ in range(n):
         w = _mat_vec(shifted, w, zero_s)
     acc = zero_s
     for x, y in zip(model.u, w):
-        acc = acc + promote(x, target) * y
+        acc = acc + x * y
     return acc
 
 

@@ -35,6 +35,7 @@ from .exactnum import (
     promote,
     render_scalar,
     scalar_inv,
+    unify,
     zero,
 )
 from .transform import PrefixLike, SequencePrefix, apply_transform, as_prefix
@@ -65,13 +66,8 @@ class CharPoly:
         vals = list(coeffs)
         if len(vals) < 2:
             raise ValueError("characteristic polynomial needs degree at least 1")
-        dom = domain
-        for v in vals:
-            dv = domain_of(v)
-            dom = dv if dom is None else join_domains(dom, dv)
-        self._domain = dom
-        self._coeffs = tuple(promote(v, dom) for v in vals)
-        if self._coeffs[0] == zero(dom):
+        self._domain, self._coeffs = unify(vals, domain)
+        if self._coeffs[0] == zero(self._domain):
             raise ValueError("leading coefficient must be nonzero")
 
     @property
@@ -103,6 +99,8 @@ class CharPoly:
 
     def promoted(self, dom: Domain) -> "CharPoly":
         target = join_domains(self._domain, dom)
+        if target == self._domain:
+            return self
         return CharPoly(self._coeffs, target)
 
     def text(self, var: str = "X") -> str:
@@ -186,14 +184,12 @@ class Recurrence:
                 f"degree {poly.degree} recurrence needs exactly "
                 f"{poly.degree} initial terms, got {len(init_vals)}"
             )
-        dom = poly.domain
-        for v in init_vals:
-            dom = join_domains(dom, domain_of(v))
+        dom, init_vals = unify(init_vals, poly.domain)
         poly = poly.promoted(dom)
         if not poly.is_monic:
             raise NonMonic(f"characteristic polynomial {poly.text()} is not monic")
         self._poly = poly
-        self._init = tuple(promote(v, dom) for v in init_vals)
+        self._init = init_vals
 
     @property
     def poly(self) -> CharPoly:
@@ -254,8 +250,8 @@ def apply_char_operator(p: CharPoly, a: PrefixLike) -> SequencePrefix:
             f"degree {d} operator needs at least {d + 1} terms, got {len(a)}"
         )
     target = join_domains(p.domain, a.domain)
-    coeffs = [promote(c, target) for c in p.coeffs]
-    vals = [promote(v, target) for v in a.values]
+    coeffs = p.promoted(target).coeffs
+    vals = a.promoted(target).values
     out = []
     for n in range(len(vals) - d):
         acc = zero(target)
@@ -282,7 +278,7 @@ def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:
         )
     target = join_domains(p.domain, domain_of(r))
     neg_r = -promote(r, target)
-    coeffs = [promote(c, target) for c in p.coeffs]
+    coeffs = p.promoted(target).coeffs
     d = p.degree
     neg_pow = [one(target)]
     for _ in range(d):
@@ -317,10 +313,7 @@ def second_order_template(p: Scalar, q: Scalar, r: Scalar) -> tuple[Scalar, Scal
     b_{n-2}; returns that coefficient pair.  Matches
     :func:`shift_characteristic` on X^2 - p X + q.
     """
-    dom = join_domains(join_domains(domain_of(p), domain_of(q)), domain_of(r))
-    pp = promote(p, dom)
-    qq = promote(q, dom)
-    rr = promote(r, dom)
+    _, (pp, qq, rr) = unify((p, q, r))
     return (pp + 2 * rr, rr * rr + pp * rr + qq)
 
 

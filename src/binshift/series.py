@@ -32,6 +32,7 @@ from .exactnum import (
     one,
     promote,
     render_scalar,
+    unify,
     zero,
 )
 from .transform import PrefixLike, SequencePrefix, as_prefix
@@ -70,16 +71,10 @@ class TruncSeries:
     ):
         if kind not in (OGF, EGF):
             raise ValueError(f"kind must be {OGF!r} or {EGF!r}, got {kind!r}")
-        vals = list(coeffs)
-        if not vals:
-            raise ValueError("a series needs at least the order-0 coefficient")
-        dom = domain
-        for v in vals:
-            dv = domain_of(v)
-            dom = dv if dom is None else join_domains(dom, dv)
         self._kind = kind
-        self._domain = dom
-        self._coeffs = tuple(promote(v, dom) for v in vals)
+        self._domain, self._coeffs = unify(coeffs, domain)
+        if not self._coeffs:
+            raise ValueError("a series needs at least the order-0 coefficient")
 
     @property
     def kind(self) -> str:
@@ -96,6 +91,12 @@ class TruncSeries:
     @property
     def domain(self) -> Domain:
         return self._domain
+
+    def promoted(self, dom: Domain) -> "TruncSeries":
+        target = join_domains(self._domain, dom)
+        if target == self._domain:
+            return self
+        return TruncSeries(self._kind, self._coeffs, target)
 
     def coefficient(self, n: int) -> Scalar:
         """Stored coefficient c_n (for EGF this is a_n, not a_n/n!)."""
@@ -191,8 +192,8 @@ def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """
     _check_compatible(f, g)
     target = join_domains(f.domain, g.domain)
-    xs = [promote(c, target) for c in f.coeffs]
-    ys = [promote(c, target) for c in g.coeffs]
+    xs = f.promoted(target).coeffs
+    ys = g.promoted(target).coeffs
     zero_s = zero(target)
     if f.kind == OGF:
         out = _cauchy(xs, ys, f.order, zero_s)
@@ -226,7 +227,7 @@ def series_compose_geometric(f: TruncSeries, r: Scalar) -> TruncSeries:
     for _ in range(n_ord):
         geom.append(geom[-1] * rp)
     u = [zero_s] + geom[:n_ord]  # z * (1 - r z)^(-1)
-    coeffs = [promote(c, target) for c in f.coeffs]
+    coeffs = f.promoted(target).coeffs
     acc = [zero_s] * (n_ord + 1)
     upow = [one_s] + [zero_s] * n_ord
     for k in range(n_ord + 1):
@@ -253,10 +254,7 @@ def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
     powers = [one(target)]
     for _ in range(f.order):
         powers.append(powers[-1] * rp)
-    return series_mul(
-        TruncSeries(EGF, [promote(c, target) for c in f.coeffs], target),
-        TruncSeries(EGF, powers, target),
-    )
+    return series_mul(f, TruncSeries(EGF, powers, target))
 
 
 def riordan_entry(r: Scalar, n: int, k: int) -> Scalar:

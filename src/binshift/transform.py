@@ -25,6 +25,7 @@ from .exactnum import (
     domain_of,
     join_domains,
     promote,
+    unify,
 )
 
 __all__ = [
@@ -49,15 +50,9 @@ class SequencePrefix:
     __slots__ = ("_domain", "_values")
 
     def __init__(self, values: Iterable[Scalar], domain: Domain | None = None):
-        vals = list(values)
-        if not vals:
+        self._domain, self._values = unify(values, domain)
+        if not self._values:
             raise ValueError("a prefix needs at least the index-0 term")
-        dom = domain
-        for v in vals:
-            dv = domain_of(v)
-            dom = dv if dom is None else join_domains(dom, dv)
-        self._domain = dom
-        self._values = tuple(promote(v, dom) for v in vals)
 
     @property
     def domain(self) -> Domain:
@@ -88,6 +83,8 @@ class SequencePrefix:
 
     def promoted(self, dom: Domain) -> "SequencePrefix":
         target = join_domains(self._domain, dom)
+        if target == self._domain:
+            return self
         return SequencePrefix(self._values, target)
 
     def __eq__(self, other: object) -> bool:
@@ -137,7 +134,7 @@ def apply_transform(
         )
     target = join_domains(a.domain, domain_of(r))
     rp = promote(r, target)
-    vals = [promote(v, target) for v in a.values[: n_max + 1]]
+    vals = a.promoted(target).values
     out = []
     row = [1]  # binomial row C(n, .), updated in place as n advances
     for n in range(n_max + 1):
@@ -155,9 +152,8 @@ def compose_transforms(
     a: PrefixLike, r: Scalar, s: Scalar, n_max: int | None = None
 ) -> SequencePrefix:
     """Apply shift ``s`` then shift ``r`` in one pass, i.e. shift r + s."""
-    shift_dom = join_domains(domain_of(r), domain_of(s))
-    total = promote(r, shift_dom) + promote(s, shift_dom)
-    return apply_transform(a, total, n_max)
+    _, (rr, ss) = unify((r, s))
+    return apply_transform(a, rr + ss, n_max)
 
 
 def inverse_transform(

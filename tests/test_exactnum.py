@@ -1,5 +1,6 @@
 """Exact scalar domains: arithmetic, promotion, rendering, parsing."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,13 +24,11 @@ from binshift.exactnum import (
     promote,
     quad_domain,
     render_scalar,
-    scalar_add,
     scalar_inv,
-    scalar_mul,
-    scalar_neg,
-    scalar_pow,
+    unify,
     zero,
 )
+from binshift.transform import SequencePrefix, apply_transform
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 polys_st = st.lists(fractions_st, max_size=5).map(lambda cs: Poly(cs, "x"))
@@ -64,6 +63,26 @@ class TestSquarefree:
         i = Quad(0, 1, -1)
         assert i * i == -1
 
+    def test_large_radicand_checked_once(self):
+        d = 999999999989  # prime near 10^12: one check is ~10^6 divisions
+        is_squarefree.cache_clear()
+        start = time.perf_counter()
+        prefix = SequencePrefix([Quad(k, 1, d) for k in range(41)])
+        out = apply_transform(prefix, 1)
+        assert time.perf_counter() - start < 1.0
+        assert out[1] == Quad(1, 2, d)
+        # the cached check still rejects what the uncached one rejected
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Quad(1, 1, 4)
+        Quad(1, 1, 5)
+        with pytest.raises(TypeError):
+            Quad(1, 1, 5.0)
+        with pytest.raises(TypeError):
+            Quad(1, 1, True)
+        with pytest.raises(ValueError):
+            Poly((1,), "1x")
+
 
 class TestPoly:
     def test_trailing_zeros_stripped(self):
@@ -79,6 +98,7 @@ class TestPoly:
 
     def test_power(self):
         assert (1 + X) ** 2 == Poly((1, 2, 1))
+        assert X**2 == Poly((0, 0, 1))
         assert X**0 == 1
         assert Poly((), "x") ** 0 == 1
         with pytest.raises(ValueError):
@@ -137,6 +157,7 @@ class TestQuad:
         assert PHI * PSI == -1
         assert PHI + PSI == 1
         assert PHI * PHI == PHI + 1
+        assert -PHI == Quad(Fraction(-1, 2), Fraction(-1, 2), 5)
 
     def test_sqrt5_inverse(self):
         root5 = Quad(0, 1, 5)
@@ -229,12 +250,16 @@ class TestDomains:
 
     def test_strict_ops_require_same_domain(self):
         with pytest.raises(DomainMismatch):
-            scalar_add(1, Fraction(1, 2))
+            PHI + Quad(1, 1, 2)
         with pytest.raises(DomainMismatch):
-            scalar_mul(PHI, Fraction(2))
-        assert scalar_add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-        assert scalar_mul(2, 3) == 6
-        assert scalar_neg(PHI) == Quad(Fraction(-1, 2), Fraction(-1, 2), 5)
+            PHI * Quad(0, 1, 2)
+        with pytest.raises(DomainMismatch):
+            X + Poly((0, 1), "y")
+        with pytest.raises(DomainMismatch):
+            unify([PHI, X])
+        assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+        assert unify([1, Fraction(1, 2)]) == (RAT, (Fraction(1), Fraction(1, 2)))
+        assert -PHI == Quad(Fraction(-1, 2), Fraction(-1, 2), 5)
 
     def test_inv_errors(self):
         with pytest.raises(NonInvertibleDomain):
@@ -246,12 +271,13 @@ class TestDomains:
         assert scalar_inv(Fraction(3)) == Fraction(1, 3)
 
     def test_pow(self):
-        assert scalar_pow(2, 10) == 1024
-        assert scalar_pow(Fraction(1, 2), 3) == Fraction(1, 8)
-        assert scalar_pow(X, 2) == Poly((0, 0, 1))
-        assert scalar_pow(PHI, 0) == 1
+        assert Fraction(1, 2) ** 3 == Fraction(1, 8)
+        assert X**2 == Poly((0, 0, 1))
+        assert PHI**0 == 1
         with pytest.raises(ValueError):
-            scalar_pow(2, -1)
+            X ** -1
+        with pytest.raises(ValueError):
+            PHI ** -1
 
 
 class TestRenderParse:
@@ -305,13 +331,31 @@ class TestRenderParse:
         assert parse_scalar(render_scalar(q), quad_domain(5)) == q
 
 
+def _canonical(v):
+    """Assert that an arithmetic result, built without checks, is exactly
+    what the public constructor would build from its components."""
+    if isinstance(v, Poly):
+        rebuilt = Poly(v.coeffs, v.var)
+        assert rebuilt.coeffs == v.coeffs and rebuilt.var == v.var
+        assert all(type(c) is Fraction for c in v.coeffs)
+        assert not v.coeffs or v.coeffs[-1] != 0
+    else:
+        assert Quad(v.a, v.b, v.d) == v
+        assert type(v.a) is Fraction and type(v.b) is Fraction
+    return v
+
+
 def _check_ring_laws(x, y, z):
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + (-x) == 0
+    c = _canonical
+    assert c(x + y) == c(y + x)
+    assert c(x * y) == c(y * x)
+    assert c(c(x + y) + z) == c(x + c(y + z))
+    assert c(c(x * y) * z) == c(x * c(y * z))
+    assert c(x * c(y + z)) == c(c(x * y) + c(x * z))
+    assert c(x + c(-x)) == 0
+    assert c(x - y) == c(-c(y - x))
+    assert c(c(3 - x) + c(x * 2)) == c(x + 3)
+    assert c(x * 0) == 0
 
 
 class TestRingLaws:
@@ -329,13 +373,14 @@ class TestRingLaws:
     @given(quads_st, quads_st)
     def test_quad_norm_multiplicative(self, x, y):
         assert (x * y).norm() == x.norm() * y.norm()
+        assert x * _canonical(x.conjugate()) == x.norm()
 
     @settings(max_examples=100)
     @given(quads_st)
     def test_quad_inverse(self, x):
         if x == 0:
             return
-        assert x * scalar_inv(x) == 1
+        assert x * _canonical(scalar_inv(x)) == 1
 
     @settings(max_examples=100)
     @given(polys_st, st.integers(min_value=0, max_value=6))
@@ -343,7 +388,7 @@ class TestRingLaws:
         expected = Poly((1,), "x")
         for _ in range(n):
             expected = expected * p
-        assert p**n == expected
+        assert _canonical(p**n) == expected
 
     @settings(max_examples=100)
     @given(quads_st, st.integers(min_value=0, max_value=12))
@@ -351,7 +396,7 @@ class TestRingLaws:
         expected = Quad(1, 0, 5)
         for _ in range(n):
             expected = expected * q
-        assert q**n == expected
+        assert _canonical(q**n) == expected
 
     @given(fractions_st)
     def test_fraction_canonical_form(self, q):
