@@ -20,6 +20,11 @@ schemas in :data:`SCHEMAS`), ``csv`` where the data is tabular, and
 ``oeis`` (comma+space separated values, handy for searching sequence
 databases).  Negative shifts need the ``-r=-1`` / ``--shift=-1/2`` form
 so they are not mistaken for option names.
+
+Input sizes are capped, and each cap is checked before any value is
+built: a typo such as ``-n 100000`` or ``-r=1e100000000`` exits 2 at
+once instead of computing for minutes.  See :data:`MAX_INDEX`,
+:data:`MAX_LITERAL_DIGITS`, :data:`MAX_CASES` and :data:`MAX_DEPTH`.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -45,7 +51,26 @@ from .recurrence import CharPoly, shift_characteristic
 from .transform import SequencePrefix, apply_transform
 from .verify import SUITE_NAMES, run_suite
 
-__all__ = ["main", "SCHEMAS"]
+__all__ = [
+    "main",
+    "SCHEMAS",
+    "MAX_INDEX",
+    "MAX_LITERAL_DIGITS",
+    "MAX_CASES",
+    "MAX_DEPTH",
+]
+
+# Last output index of ``transform -n``; ``--inline`` and ``shift-poly``
+# lists hold at most MAX_INDEX + 1 entries.
+MAX_INDEX = 1000
+# Characters of one shift or list literal plus the size of its decimal
+# exponent, so ``1e100000000`` counts as 100000011 digits.
+MAX_LITERAL_DIGITS = 1000
+# ``verify --cases`` and ``verify -n/--length``.
+MAX_CASES = 1000
+MAX_DEPTH = 200
+
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)")
 
 _SEGMENT_HEADER = ["family", "r"] + [f"a{i}" for i in range(10)]
 
@@ -181,8 +206,22 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
+def _check_cap(what: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{what} is {value}, over the limit of {cap}")
+
+
+def _literal_size(text: str) -> int:
+    size = len(text)
+    exponent = _EXPONENT.search(text)
+    if exponent is not None and size <= MAX_LITERAL_DIGITS:
+        size += abs(int(exponent.group(1)))
+    return size
+
+
 def _parse_shift(text: str) -> Scalar:
     """Integer or rational shift literal; den-1 fractions stay integers."""
+    _check_cap(f"size of literal {text[:24]!r}", _literal_size(text), MAX_LITERAL_DIGITS)
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -192,8 +231,10 @@ def _parse_shift(text: str) -> Scalar:
 
 def _parse_scalar_list(text: str) -> list[Scalar]:
     """Comma-separated integers/rationals; all-integer input stays integer."""
+    tokens = text.split(",")
+    _check_cap("list length", len(tokens), MAX_INDEX + 1)
     items: list[Scalar] = []
-    for token in text.split(","):
+    for token in tokens:
         token = token.strip()
         if not token:
             raise ValueError("empty entry in comma-separated values")
@@ -228,6 +269,8 @@ def _print_csv(header: list[str], rows: list[list]) -> None:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     r = _parse_shift(args.shift)
+    if args.length is not None:
+        _check_cap("length", args.length, MAX_INDEX)
     if args.family is not None:
         get_family(args.family)
         n_max = 9 if args.length is None else args.length
@@ -351,6 +394,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_cap("cases", args.cases, MAX_CASES)
+    _check_cap("length", args.length, MAX_DEPTH)
     report = run_suite(args.suite, seed=args.seed, cases=args.cases, depth=args.length)
     if args.format == "json":
         _print_json(
@@ -451,7 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--length",
         type=int,
         default=None,
-        help="last output index (default: 9 for families, input length for inline)",
+        help="last output index (default: 9 for families, input length for inline;"
+        f" at most {MAX_INDEX})",
     )
     p_tr.add_argument(
         "--format",
@@ -485,13 +531,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vf = sub.add_parser("verify", help="run a seeded self-verification suite")
     p_vf.add_argument("suite", choices=SUITE_NAMES)
     p_vf.add_argument("--seed", type=int, default=0)
-    p_vf.add_argument("--cases", type=int, default=100)
+    p_vf.add_argument(
+        "--cases", type=int, default=100, help=f"cases per property (at most {MAX_CASES})"
+    )
     p_vf.add_argument(
         "-n",
         "--length",
         type=int,
         default=20,
-        help="index depth for enumerated identities",
+        help=f"index depth for enumerated identities (at most {MAX_DEPTH})",
     )
     p_vf.add_argument("--format", choices=("plain", "json"), default="plain")
     p_vf.set_defaults(handler=_cmd_verify)

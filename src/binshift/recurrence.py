@@ -108,9 +108,10 @@ class CharPoly:
         parenthesized, e.g. ``X^2 - (2r+3)*X + (r^2+3r+2)``."""
         parts: list[str] = []
         d = self.degree
+        zero_s = zero(self._domain)
         for i, c in enumerate(self._coeffs):
             power = d - i
-            if c == zero(self._domain):
+            if c == zero_s:
                 continue
             if power == 0:
                 xpart = ""
@@ -229,8 +230,9 @@ def unroll(rec: Recurrence, n_max: int) -> SequencePrefix:
     d = rec.degree
     p = rec.poly.coeffs
     vals = list(rec.init[: n_max + 1])
+    zero_s = zero(rec.domain)
     for n in range(d, n_max + 1):
-        acc = zero(rec.domain)
+        acc = zero_s
         for k in range(1, d + 1):
             acc = acc - p[k] * vals[n - k]
         vals.append(acc)
@@ -252,9 +254,10 @@ def apply_char_operator(p: CharPoly, a: PrefixLike) -> SequencePrefix:
     target = join_domains(p.domain, a.domain)
     coeffs = p.promoted(target).coeffs
     vals = a.promoted(target).values
+    zero_s = zero(target)
     out = []
     for n in range(len(vals) - d):
-        acc = zero(target)
+        acc = zero_s
         for j in range(d + 1):
             acc = acc + coeffs[d - j] * vals[n + j]
         out.append(acc)
@@ -280,12 +283,13 @@ def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:
     neg_r = -promote(r, target)
     coeffs = p.promoted(target).coeffs
     d = p.degree
+    zero_s = zero(target)
     neg_pow = [one(target)]
     for _ in range(d):
         neg_pow.append(neg_pow[-1] * neg_r)
     q = []
     for j in range(d + 1):
-        acc = zero(target)
+        acc = zero_s
         for k in range(j + 1):
             acc = acc + math.comb(d - k, j - k) * (coeffs[k] * neg_pow[j - k])
         q.append(acc)

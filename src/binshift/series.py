@@ -120,8 +120,9 @@ class TruncSeries:
         """Human-readable rendering ending in the O() truncation marker."""
         sym = "z" if self._kind == OGF else "t"
         parts: list[str] = []
+        zero_s = zero(self._domain)
         for n, c in enumerate(self._coeffs):
-            if c == zero(self._domain) and len(self._coeffs) > 1:
+            if c == zero_s and len(self._coeffs) > 1:
                 continue
             body = render_scalar(c)
             if " " in body or (body.startswith("-") and n > 0):

@@ -10,17 +10,36 @@ r is shift -r, and the classical binomial transform iterated m times is
 the single transform with shift m.  Index n of the output depends only on
 inputs 0..n, so a prefix of length N+1 determines outputs 0..N exactly.
 
-Each row is evaluated by a Horner pass over a binomial row that is updated
-in place, so a full prefix costs O(N^2) exact operations.
+Every transform runs one difference table, a Taylor-shift recurrence
+(von zur Gathen and Gerhard, ISSAC 1997).  With b_n = ((r + E)^n a)_0,
+where E shifts a sequence left, and r = p/q, the pass
+
+    t_k <- p * t_k + q * t_{k+1}
+
+turns row n of the table into row n + 1, scaled by q, so t_0 after pass
+n is q^n * b_n.  A full prefix costs O(N^2) operations, and on integers
+each product has the small factor p or q.
+When the shift is rational (an int, a Fraction, a Quad with zero radical
+part or a constant Poly) the prefix is lowered to integer columns over
+one common denominator D: a rational prefix is one column, a quad(d)
+prefix an a column and a b column, a poly(x) prefix one column per
+coefficient index.  Each column runs through the table on native ints,
+which yields D * q^n * b_n, and each output is divided once.  An
+irrational Quad shift or a non-constant Poly shift runs the same table
+on the scalars themselves, with q = 1.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .errors import PrefixTooShort
 from .exactnum import (
     Domain,
+    Poly,
+    Quad,
     Scalar,
     domain_of,
     join_domains,
@@ -134,18 +153,81 @@ def apply_transform(
         )
     target = join_domains(a.domain, domain_of(r))
     rp = promote(r, target)
-    vals = a.promoted(target).values
-    out = []
-    row = [1]  # binomial row C(n, .), updated in place as n advances
-    for n in range(n_max + 1):
-        acc = vals[0]
-        for k in range(1, n + 1):
-            acc = acc * rp + row[k] * vals[k]
-        out.append(acc)
-        row.append(1)
-        for k in range(n, 0, -1):
-            row[k] += row[k - 1]
+    vals = a.promoted(target).values[: n_max + 1]
+    ratio = _rational_parts(rp)
+    if ratio is None or target.kind == "int":
+        out = _difference_table(vals, rp, 1)
+    else:
+        out = _lowered_transform(vals, target, *ratio)
     return SequencePrefix(out, target)
+
+
+def _rational_parts(x: Scalar) -> tuple[int, int] | None:
+    """(p, q) with x == p/q and q > 0, or None for an irrational Quad or
+    a non-constant Poly."""
+    if isinstance(x, Quad):
+        if not x.is_rational:
+            return None
+        x = x.a
+    elif isinstance(x, Poly):
+        if not x.is_constant:
+            return None
+        x = x.constant_value()
+    return x.numerator, x.denominator
+
+
+def _difference_table(column: Iterable, p, q) -> list:
+    """Outputs sum_k C(n, k) p^(n-k) q^k column_k for n = 0..len-1, that
+    is q^n times the transform of ``column`` at shift p/q.
+
+    One working list: pass n replaces t_k by p * t_k + q * t_{k+1} and
+    drops the last entry, whose row is complete.
+    """
+    t = list(column)
+    out = [t[0]]
+    for m in range(len(t) - 1, 0, -1):
+        if q == 1:
+            for k in range(m):
+                t[k] = p * t[k] + t[k + 1]
+        else:
+            for k in range(m):
+                t[k] = p * t[k] + q * t[k + 1]
+        t.pop()
+        out.append(t[0])
+    return out
+
+
+def _lowered_transform(vals: tuple, target: Domain, p: int, q: int) -> list:
+    """Transform rat, quad(d) or poly(x) values at shift p/q through
+    integer columns over one common denominator."""
+    if target.kind == "rat":
+        columns = [vals]
+    elif target.kind == "quad":
+        columns = [[v.a for v in vals], [v.b for v in vals]]
+    else:
+        width = max(len(v.coeffs) for v in vals)
+        columns = [[v.coefficient(j) for v in vals] for j in range(width)]
+    den = math.lcm(*(x.denominator for col in columns for x in col))
+    results = []
+    for col in columns:
+        scaled = [x.numerator * (den // x.denominator) for x in col]
+        d_n = den
+        divided = []
+        for t in _difference_table(scaled, p, q):
+            divided.append(Fraction(t, d_n))
+            d_n *= q
+        results.append(divided)
+    if target.kind == "rat":
+        return results[0]
+    if target.kind == "quad":
+        return [Quad._new(x, y, target.d) for x, y in zip(*results)]
+    out = []
+    for n in range(len(vals)):
+        cs = [col[n] for col in results]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        out.append(Poly._new(cs, target.var))
+    return out
 
 
 def compose_transforms(

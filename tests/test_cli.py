@@ -1,6 +1,7 @@
 """End-to-end CLI behavior via in-process main() calls."""
 
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -257,3 +258,43 @@ class TestUsageErrors:
     def test_bad_shift_literal(self, capsys):
         code, _, err = run_cli(capsys, "transform", "--inline", "1,2", "-r", "x")
         assert code == 2 and "cannot parse shift" in err
+
+
+class TestInputLimits:
+    """Oversized input exits 2 at once, before any big value is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("transform", "--family", "fibonacci", "-r=1e100000000", "-n", "5"),
+            ("transform", "--family", "fibonacci", "-r", "1", "-n", "100000"),
+            ("verify", "semigroup", "--cases", "100000000"),
+            ("verify", "semigroup", "--length", "100000000"),
+            ("transform", "--inline=1,1e-100000000", "-r", "1"),
+            ("transform", "--inline", ",".join(["1"] * (cli.MAX_INDEX + 2))),
+        ],
+        ids=[
+            "shift-literal",
+            "transform-length",
+            "verify-cases",
+            "verify-length",
+            "inline-literal",
+            "inline-entries",
+        ],
+    )
+    def test_oversized_input_exits_2(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "over the limit" in err
+
+    def test_inputs_at_the_limits_accepted(self, capsys):
+        k = cli.MAX_LITERAL_DIGITS - 5  # "1e995" is 5 characters
+        code, out, _ = run_cli(capsys, "transform", "--inline", "1,1", f"-r=1e{k}")
+        assert code == 0
+        assert out == f"1 {10**k + 1}\n"
+        code, out, _ = run_cli(
+            capsys, "transform", "--family", "fibonacci", "-n", str(cli.MAX_INDEX)
+        )
+        assert code == 0 and len(out.split()) == cli.MAX_INDEX + 1

@@ -1,16 +1,29 @@
 """The shift-parameterized binomial transform on sequence prefixes."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binshift import exactnum
 from binshift.errors import DomainMismatch, PrefixTooShort
-from binshift.exactnum import INT, RAT, Poly, Quad, promote
+from binshift.exactnum import (
+    INT,
+    RAT,
+    Poly,
+    Quad,
+    domain_of,
+    join_domains,
+    promote,
+    render_scalar,
+)
+from binshift.families import family_prefix
 from binshift.transform import (
     SequencePrefix,
+    _difference_table,
     apply_transform,
     as_prefix,
     compose_transforms,
@@ -144,6 +157,160 @@ class TestApplyTransform:
         tx = apply_transform(xs, r).values
         ty = apply_transform(ys, r).values
         assert lhs == tuple(alpha * x + beta * y for x, y in zip(tx, ty))
+
+
+RADICANDS = (5, -3, 999983)
+X = Poly.indeterminate("x")
+
+
+@st.composite
+def prefixes_st(draw):
+    """A prefix over int, rat, quad(d) for each d in RADICANDS, or poly(x)."""
+    kind = draw(st.sampled_from(("int", "rat", "quad", "poly")))
+    size = draw(st.integers(min_value=1, max_value=9))
+    if kind == "int":
+        ints = st.integers(min_value=-50, max_value=50)
+        return SequencePrefix(draw(st.lists(ints, min_size=size, max_size=size)))
+    if kind == "rat":
+        return SequencePrefix(
+            draw(st.lists(fractions_st, min_size=size, max_size=size)), RAT
+        )
+    if kind == "quad":
+        d = draw(st.sampled_from(RADICANDS))
+        pairs = st.tuples(fractions_st, fractions_st)
+        return SequencePrefix(
+            [Quad(a, b, d) for a, b in draw(st.lists(pairs, min_size=size, max_size=size))]
+        )
+    coeffs = st.lists(fractions_st, max_size=4)
+    return SequencePrefix(
+        [Poly(cs, "x") for cs in draw(st.lists(coeffs, min_size=size, max_size=size))],
+        exactnum.poly_domain("x"),
+    )
+
+
+@st.composite
+def shifts_st(draw, dom):
+    """An int or Fraction shift, or a Quad (b zero or not) or Poly
+    (constant or not) shift that joins with ``dom``."""
+    kinds = ["int", "rat"]
+    if dom.kind != "poly":
+        kinds.append("quad")
+    if dom.kind != "quad":
+        kinds.append("poly")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return draw(st.integers(min_value=-4, max_value=4))
+    if kind == "rat":
+        return draw(fractions_st)
+    if kind == "quad":
+        d = dom.d if dom.kind == "quad" else draw(st.sampled_from(RADICANDS))
+        b = draw(st.one_of(st.just(Fraction(0)), fractions_st))
+        return Quad(draw(fractions_st), b, d)
+    return Poly(draw(st.lists(fractions_st, max_size=3)), "x")
+
+
+@st.composite
+def transform_cases_st(draw):
+    prefix = draw(prefixes_st())
+    r = draw(shifts_st(prefix.domain))
+    n_max = draw(st.integers(min_value=0, max_value=len(prefix) - 1))
+    return prefix, r, n_max
+
+
+def _components(v):
+    if isinstance(v, Quad):
+        return [v.a, v.b]
+    if isinstance(v, Poly):
+        return list(v.coeffs)
+    return [v]
+
+
+class TestDifferentialKernel:
+    """Rational shifts lower the prefix to integer columns; every result
+    must equal the double sum and, value for value, what the table gives
+    on the scalars themselves (the path irrational shifts take)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(transform_cases_st())
+    # r = 0 and n_max = 0
+    @example((SequencePrefix([Quad(1, 2, 5), Quad(3, -1, 5)]), 0, 1))
+    @example((SequencePrefix([Fraction(1, 3), 2]), Fraction(1, 2), 0))
+    # the b part cancels to 0
+    @example((SequencePrefix([Quad(1, 1, 5), Quad(2, -1, 5)]), 1, 1))
+    @example(
+        (
+            SequencePrefix([Quad(0, 1, 999983), Quad(1, Fraction(-1, 2), 999983)]),
+            Fraction(1, 2),
+            1,
+        )
+    )
+    # poly columns cancel into trailing zeros and into the zero polynomial
+    @example((SequencePrefix([X, 1 - X]), 1, 1))
+    @example((SequencePrefix([2 * X, -X, Poly((0, 0, 3), "x")]), Fraction(1, 2), 1))
+    @example((SequencePrefix([X, -X]), Poly((1,), "x"), 1))
+    def test_matches_generic_path(self, case):
+        prefix, r, n_max = case
+        out = apply_transform(prefix, r, n_max)
+        target = join_domains(prefix.domain, domain_of(r))
+        rp = promote(r, target)
+        vals = prefix.promoted(target).values[: n_max + 1]
+        assert out.domain == target
+        assert out.values == comb_oracle(vals, rp)
+        generic = _difference_table(vals, rp, 1)
+        assert len(out) == len(generic) == n_max + 1
+        for got, want in zip(out.values, generic):
+            assert type(got) is type(want)
+            assert render_scalar(got) == render_scalar(want)
+            assert [type(c) for c in _components(got)] == [
+                type(c) for c in _components(want)
+            ]
+
+
+class TestConstructorCounts:
+    """A rational shift builds its outputs without the public
+    constructors: the count of checked constructions does not grow
+    with N."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = Counter()
+
+        def counted(owner, attr, name):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        counted(Quad, "__init__", "Quad.__init__")
+        counted(Poly, "__init__", "Poly.__init__")
+        counted(exactnum, "is_squarefree", "is_squarefree")
+        return calls
+
+    @pytest.mark.parametrize(
+        "make, sizes, r",
+        [
+            (
+                lambda n: SequencePrefix([Quad(k, 1 - k, 999983) for k in range(n)]),
+                (100, 200),
+                Fraction(1, 3),
+            ),
+            (lambda n: family_prefix("wpoly", n - 1), (31, 61), 2),
+        ],
+        ids=["quad999983", "wpoly"],
+    )
+    def test_bounded_constructor_calls(self, counts, make, sizes, r):
+        seen = []
+        for n in sizes:
+            prefix = make(n)
+            counts.clear()
+            out = apply_transform(prefix, r)
+            assert len(out) == n
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert sum(seen[1].values()) <= 2
 
 
 class TestComposeAndInverse:
