@@ -15,16 +15,22 @@ Subcommands:
 Exit codes: 0 on success, 1 when a verification or table check fails,
 2 on usage or input errors (argparse errors included).
 
-Formats: ``plain`` (whitespace separated), ``json`` (one document,
-schemas in :data:`SCHEMAS`), ``csv`` where the data is tabular, and
-``oeis`` (comma+space separated values, handy for searching sequence
-databases).  Negative shifts need the ``-r=-1`` / ``--shift=-1/2`` form
-so they are not mistaken for option names.
+Each command builds one result, the JSON document of :data:`SCHEMAS`, and
+every format is a view of it: ``json`` prints it, ``plain`` prints lines
+read from it, ``csv`` (for tabular data) a header and rows read from it, and
+``oeis`` the last column of those rows, comma+space separated (handy for
+searching sequence databases).  A JSON value's ``str()`` is the exact text
+of its scalar, so all formats show the same values.  Negative shifts need
+the ``-r=-1`` / ``--shift=-1/2`` form so they are not read as option names.
 
 Input sizes are capped, and each cap is checked before any value is
 built: a typo such as ``-n 100000`` or ``-r=1e100000000`` exits 2 at
 once instead of computing for minutes.  See :data:`MAX_INDEX`,
 :data:`MAX_LITERAL_DIGITS`, :data:`MAX_CASES` and :data:`MAX_DEPTH`.
+Within those caps ``transform`` and ``shift-poly`` bound the digits of
+the largest integer they would print from the parsed inputs, and exit 2
+before computing when the bound is over Python's int-to-str limit
+(``sys.get_int_max_str_digits()``, 4300 by default).
 """
 
 from __future__ import annotations
@@ -33,9 +39,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .errors import BinshiftError
 from .exactnum import Poly, Quad, Scalar, render_scalar
@@ -71,8 +79,6 @@ MAX_CASES = 1000
 MAX_DEPTH = 200
 
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)")
-
-_SEGMENT_HEADER = ["family", "r"] + [f"a{i}" for i in range(10)]
 
 SCHEMAS: dict[str, dict] = {
     "transform": {
@@ -206,6 +212,16 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
+class _Result(NamedTuple):
+    """One command's output: its JSON document and the views read from it."""
+
+    doc: dict
+    lines: list[str]
+    header: Sequence[str] = ()
+    rows: Sequence[Sequence] = ()
+    code: int = 0
+
+
 def _check_cap(what: str, value: int, cap: int) -> None:
     if value > cap:
         raise ValueError(f"{what} is {value}, over the limit of {cap}")
@@ -219,13 +235,13 @@ def _literal_size(text: str) -> int:
     return size
 
 
-def _parse_shift(text: str) -> Scalar:
-    """Integer or rational shift literal; den-1 fractions stay integers."""
+def _parse_literal(text: str, what: str) -> Scalar:
+    """Integer or rational literal; den-1 fractions stay integers."""
     _check_cap(f"size of literal {text[:24]!r}", _literal_size(text), MAX_LITERAL_DIGITS)
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse shift {text!r}") from None
+        raise ValueError(f"cannot parse {what} {text!r}") from None
     return int(value) if value.denominator == 1 else value
 
 
@@ -238,8 +254,33 @@ def _parse_scalar_list(text: str) -> list[Scalar]:
         token = token.strip()
         if not token:
             raise ValueError("empty entry in comma-separated values")
-        items.append(_parse_shift(token))
+        items.append(_parse_literal(token, "entry"))
     return items
+
+
+def _check_output_size(values: Sequence[Scalar], r: Scalar, n: int) -> None:
+    """Reject, before computing, an output integer too long to print.
+
+    Both commands sum binomial multiples of c_k * r^(n-k), r = p/q.  With L the
+    lcm of the input denominators, each output component is N / (L*q^n), and
+    both N and L*q^n are at most (|p| + q)^n * L * max|numerator of c_k|.
+    """
+    if r == 0 or n < 0:  # the identity prints its capped input; n < 0 fails later
+        return
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    components = [v.coeffs if isinstance(v, Poly) else (v,) for v in values[: n + 1]]
+    parts = [c for cs in components for c in cs]
+    common = 1
+    for den in {c.denominator for c in parts}:
+        common = math.lcm(common, den)
+        if common.bit_length() > 4 * limit:  # already more digits than the limit
+            break
+    top = max((abs(c.numerator).bit_length() for c in parts), default=0)
+    x = abs(r.numerator) + r.denominator
+    drop = max(0, x.bit_length() - 64)  # x**n <= 2**(drop*n) * ((x >> drop) + 1)**n
+    head = (x >> drop) + (1 if drop else 0)
+    bits = common.bit_length() + top + drop * n + (head**n).bit_length()
+    _check_cap("bound on output digits", bits * 30103 // 100000 + 1, limit)
 
 
 def _json_value(v: Scalar):
@@ -255,20 +296,8 @@ def _json_value(v: Scalar):
     return render_scalar(v)
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
-def _print_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    print(buf.getvalue(), end="")
-
-
-def _cmd_transform(args: argparse.Namespace) -> int:
-    r = _parse_shift(args.shift)
+def _cmd_transform(args: argparse.Namespace) -> _Result:
+    r = _parse_literal(args.shift, "shift")
     if args.length is not None:
         _check_cap("length", args.length, MAX_INDEX)
     if args.family is not None:
@@ -277,198 +306,155 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         if n_max < 0:
             raise ValueError("length must be nonnegative")
         base = family_prefix(args.family, n_max)
-        source = args.family
     else:
         base = SequencePrefix(_parse_scalar_list(args.inline))
         n_max = len(base) - 1 if args.length is None else args.length
-        source = "inline"
+    _check_output_size(base.values, r, n_max)
     result = apply_transform(base, r, n_max)
-    if args.format == "plain":
-        print(" ".join(render_scalar(v) for v in result))
-    elif args.format == "oeis":
-        print(", ".join(render_scalar(v) for v in result))
-    elif args.format == "csv":
-        _print_csv(["n", "value"], [[n, render_scalar(v)] for n, v in enumerate(result)])
-    else:
-        _print_json(
-            {
-                "source": source,
-                "shift": render_scalar(r),
-                "domain": str(result.domain),
-                "values": [_json_value(v) for v in result],
-            }
-        )
-    return 0
+    values = [_json_value(v) for v in result]
+    doc = {
+        "source": args.family or "inline",
+        "shift": render_scalar(r),
+        "domain": str(result.domain),
+        "values": values,
+    }
+    lines = [" ".join(map(str, values))]
+    return _Result(doc, lines, ["n", "value"], list(enumerate(values)))
 
 
-def _cmd_shift_poly(args: argparse.Namespace) -> int:
+def _cmd_shift_poly(args: argparse.Namespace) -> _Result:
     coeffs = _parse_scalar_list(args.coeffs)
     p = CharPoly(coeffs)
-    r = _parse_shift(args.shift)
+    r = _parse_literal(args.shift, "shift")
+    _check_output_size(coeffs, r, len(coeffs) - 1)
     q = shift_characteristic(p, r)
-    if args.format == "plain":
-        print(q.text())
-    else:
-        _print_json(
-            {
-                "shift": render_scalar(r),
-                "input": [_json_value(c) for c in p.coeffs],
-                "coefficients": [_json_value(c) for c in q.coeffs],
-                "text": q.text(),
-            }
-        )
-    return 0
+    doc = {
+        "shift": render_scalar(r),
+        "input": [_json_value(c) for c in p.coeffs],
+        "coefficients": [_json_value(c) for c in q.coeffs],
+        "text": q.text(),
+    }
+    return _Result(doc, [doc["text"]])
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> _Result:
     if args.which == "segments":
-        rows = table_initial_segments()
-        all_ok = all(row.ok for row in rows)
-        if args.format == "plain":
-            for row in rows:
-                values = " ".join(str(v) for v in row.values)
-                marker = "" if row.ok else "  MISMATCH"
-                print(f"{row.family:<11} r={row.r}  {values}{marker}")
-        elif args.format == "csv":
-            _print_csv(
-                _SEGMENT_HEADER,
-                [[row.family, row.r, *row.values] for row in rows],
-            )
-        else:
-            _print_json(
-                {
-                    "table": "segments",
-                    "rows": [
-                        {
-                            "family": row.family,
-                            "r": row.r,
-                            "values": list(row.values),
-                            "matches_reference": row.ok,
-                        }
-                        for row in rows
-                    ],
-                }
-            )
-        return 0 if all_ok else 1
-    rows = recurrences_table()
-    all_ok = all(row.ok for row in rows)
-    if args.format == "plain":
-        for row in rows:
-            inits = ", ".join(render_scalar(v) for v in row.init)
-            marker = "" if row.ok else "  MISMATCH"
-            print(
-                f"{row.family:<11} b_n = ({row.b1.compact()})*b(n-1)"
-                f" - ({row.b2.compact()})*b(n-2)   init ({inits}){marker}"
-            )
-    elif args.format == "csv":
-        _print_csv(
-            ["family", "b1", "b2", "init0", "init1"],
-            [
-                [
-                    row.family,
-                    row.b1.compact(),
-                    row.b2.compact(),
-                    render_scalar(row.init[0]),
-                    render_scalar(row.init[1]),
-                ]
-                for row in rows
-            ],
-        )
-    else:
-        _print_json(
+        rows = [
             {
-                "table": "recurrences",
-                "rows": [
-                    {
-                        "family": row.family,
-                        "b1": row.b1.compact(),
-                        "b2": row.b2.compact(),
-                        "init": [_json_value(v) for v in row.init],
-                        "matches_reference": row.ok,
-                    }
-                    for row in rows
-                ],
+                "family": row.family,
+                "r": row.r,
+                "values": list(row.values),
+                "matches_reference": row.ok,
             }
-        )
-    return 0 if all_ok else 1
+            for row in table_initial_segments()
+        ]
+        header = ["family", "r", *(f"a{i}" for i in range(10))]
+        table = [[row["family"], row["r"], *row["values"]] for row in rows]
+        lines = [
+            f"{row['family']:<11} r={row['r']}  {' '.join(map(str, row['values']))}"
+            for row in rows
+        ]
+    else:
+        rows = [
+            {
+                "family": row.family,
+                "b1": row.b1.compact(),
+                "b2": row.b2.compact(),
+                "init": [_json_value(v) for v in row.init],
+                "matches_reference": row.ok,
+            }
+            for row in recurrences_table()
+        ]
+        header = ["family", "b1", "b2", "init0", "init1"]
+        table = [[row["family"], row["b1"], row["b2"], *row["init"]] for row in rows]
+        lines = [
+            f"{row['family']:<11} b_n = ({row['b1']})*b(n-1)"
+            f" - ({row['b2']})*b(n-2)   init ({', '.join(map(str, row['init']))})"
+            for row in rows
+        ]
+    ok = [row["matches_reference"] for row in rows]
+    lines = [line + ("" if row_ok else "  MISMATCH") for line, row_ok in zip(lines, ok)]
+    doc = {"table": args.which, "rows": rows}
+    return _Result(doc, lines, header, table, 0 if all(ok) else 1)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Result:
     _check_cap("cases", args.cases, MAX_CASES)
     _check_cap("length", args.length, MAX_DEPTH)
     report = run_suite(args.suite, seed=args.seed, cases=args.cases, depth=args.length)
-    if args.format == "json":
-        _print_json(
-            {
-                "suite": report.suite,
-                "seed": report.seed,
-                "cases": report.requested_cases,
-                "ok": report.ok,
-                "properties": [
-                    {
-                        "name": p.name,
-                        "cases": p.cases,
-                        "ok": p.ok,
-                        "failure": p.failure,
-                    }
-                    for p in report.properties
-                ],
-            }
-        )
-    else:
-        print(f"suite {report.suite} (seed {report.seed}, {report.requested_cases} cases)")
-        for p in report.properties:
-            if p.ok:
-                print(f"  ok   {p.name} ({p.cases} cases)")
-            else:
-                print(f"  FAIL {p.name} ({p.cases} cases): {p.failure}")
-        failed = sum(1 for p in report.properties if not p.ok)
-        if failed:
-            print(f"{failed} of {len(report.properties)} properties failed")
-        else:
-            print(f"all {len(report.properties)} properties passed")
-    return 0 if report.ok else 1
+    props = [
+        {"name": p.name, "cases": p.cases, "ok": p.ok, "failure": p.failure}
+        for p in report.properties
+    ]
+    doc = {
+        "suite": report.suite,
+        "seed": report.seed,
+        "cases": report.requested_cases,
+        "ok": report.ok,
+        "properties": props,
+    }
+    lines = [f"suite {report.suite} (seed {report.seed}, {report.requested_cases} cases)"]
+    for p in props:
+        status = "ok  " if p["ok"] else "FAIL"
+        failure = "" if p["ok"] else f": {p['failure']}"
+        lines.append(f"  {status} {p['name']} ({p['cases']} cases){failure}")
+    failed = sum(1 for p in props if not p["ok"])
+    passed = f"all {len(props)} properties passed"
+    lines.append(f"{failed} of {len(props)} properties failed" if failed else passed)
+    return _Result(doc, lines, code=0 if report.ok else 1)
 
 
-def _cmd_family(args: argparse.Namespace) -> int:
-    names = family_names()
-    if args.format == "plain":
-        for name in names:
-            spec = get_family(name)
-            poly = family_char_poly(name)
-            inits = ", ".join(render_scalar(v) for v in spec.init)
-            oeis = spec.oeis or "-"
-            print(f"{name:<11} {oeis:<8} P(X) = {poly.text():<22} init ({inits})")
-    elif args.format == "csv":
-        rows = []
-        for name in names:
-            spec = get_family(name)
-            rows.append(
-                [
-                    name,
-                    spec.oeis or "",
-                    family_char_poly(name).text(),
-                    render_scalar(spec.init[0]),
-                    render_scalar(spec.init[1]),
-                ]
-            )
-        _print_csv(["name", "oeis", "poly", "init0", "init1"], rows)
+def _cmd_family(args: argparse.Namespace) -> _Result:
+    families = [
+        {
+            "name": spec.name,
+            "oeis": spec.oeis,
+            "poly": family_char_poly(spec.name).text(),
+            "init": [_json_value(v) for v in spec.init],
+            "domain": str(spec.domain),
+        }
+        for spec in map(get_family, family_names())
+    ]
+    lines = [
+        f"{f['name']:<11} {f['oeis'] or '-':<8} P(X) = {f['poly']:<22}"
+        f" init ({', '.join(map(str, f['init']))})"
+        for f in families
+    ]
+    header = ["name", "oeis", "poly", "init0", "init1"]
+    table = [[f["name"], f["oeis"] or "", f["poly"], *f["init"]] for f in families]
+    return _Result({"families": families}, lines, header, table)
+
+
+def _emit(fmt: str, result: _Result) -> None:
+    """Print one result in one format; every format reads the same values."""
+    if fmt == "json":
+        text = json.dumps(result.doc, indent=2) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([result.header, *result.rows])
+        text = buf.getvalue()
+    elif fmt == "oeis":
+        text = ", ".join(str(row[-1]) for row in result.rows) + "\n"
     else:
-        _print_json(
-            {
-                "families": [
-                    {
-                        "name": name,
-                        "oeis": get_family(name).oeis,
-                        "poly": family_char_poly(name).text(),
-                        "init": [_json_value(v) for v in get_family(name).init],
-                        "domain": str(get_family(name).domain),
-                    }
-                    for name in names
-                ]
-            }
-        )
-    return 0
+        text = "".join(line + "\n" for line in result.lines)
+    print(text, end="")
+
+
+_COMMANDS = {  # name -> (handler, help, --format choices)
+    "transform": (
+        _cmd_transform,
+        "apply the shift-r transform to a family or inline prefix",
+        ("plain", "json", "csv", "oeis"),
+    ),
+    "shift-poly": (
+        _cmd_shift_poly,
+        "coefficients of P(X - r) for a monic characteristic polynomial",
+        ("plain", "json"),
+    ),
+    "table": (_cmd_table, "print the embedded reference tables", ("plain", "json", "csv")),
+    "verify": (_cmd_verify, "run a seeded self-verification suite", ("plain", "json")),
+    "family": (_cmd_family, "list the registered families", ("plain", "json", "csv")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -477,90 +463,57 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact shift-parameterized binomial transforms of sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_tr = sub.add_parser(
-        "transform",
-        help="apply the shift-r transform to a family or inline prefix",
-    )
-    src = p_tr.add_mutually_exclusive_group(required=True)
-    src.add_argument("--family", help="registered family name")
-    src.add_argument("--inline", help="comma-separated integers/rationals")
-    p_tr.add_argument(
-        "-r",
-        "--shift",
-        default="0",
-        help="shift value, integer or rational (use -r=-1/2 for negatives)",
-    )
-    p_tr.add_argument(
-        "-n",
-        "--length",
-        type=int,
-        default=None,
-        help="last output index (default: 9 for families, input length for inline;"
-        f" at most {MAX_INDEX})",
-    )
-    p_tr.add_argument(
-        "--format",
-        choices=("plain", "json", "csv", "oeis"),
-        default="plain",
-    )
-    p_tr.set_defaults(handler=_cmd_transform)
-
-    p_sp = sub.add_parser(
-        "shift-poly",
-        help="coefficients of P(X - r) for a monic characteristic polynomial",
-    )
-    p_sp.add_argument(
+    commands = {name: sub.add_parser(name, help=c[1]) for name, c in _COMMANDS.items()}
+    # Arguments are added in their --help order, --format last.
+    source = commands["transform"].add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", help="registered family name")
+    source.add_argument("--inline", help="comma-separated integers/rationals")
+    commands["shift-poly"].add_argument(
         "coeffs",
         help="comma-separated descending coefficients, leading 1 (e.g. 1,-1,-1)",
     )
-    p_sp.add_argument(
-        "-r",
-        "--shift",
-        default="0",
-        help="shift value, integer or rational (use -r=-1/2 for negatives)",
+    for name in ("transform", "shift-poly"):
+        commands[name].add_argument(
+            "-r",
+            "--shift",
+            default="0",
+            help="shift value, integer or rational (use -r=-1/2 for negatives)",
+        )
+    commands["transform"].add_argument(
+        "-n",
+        "--length",
+        type=int,
+        help="last output index (default: 9 for families, input length for inline;"
+        f" at most {MAX_INDEX})",
     )
-    p_sp.add_argument("--format", choices=("plain", "json"), default="plain")
-    p_sp.set_defaults(handler=_cmd_shift_poly)
-
-    p_tb = sub.add_parser("table", help="print the embedded reference tables")
-    p_tb.add_argument("which", choices=("recurrences", "segments"))
-    p_tb.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p_tb.set_defaults(handler=_cmd_table)
-
-    p_vf = sub.add_parser("verify", help="run a seeded self-verification suite")
-    p_vf.add_argument("suite", choices=SUITE_NAMES)
-    p_vf.add_argument("--seed", type=int, default=0)
-    p_vf.add_argument(
+    commands["table"].add_argument("which", choices=("recurrences", "segments"))
+    commands["verify"].add_argument("suite", choices=SUITE_NAMES)
+    commands["verify"].add_argument("--seed", type=int, default=0)
+    commands["verify"].add_argument(
         "--cases", type=int, default=100, help=f"cases per property (at most {MAX_CASES})"
     )
-    p_vf.add_argument(
+    commands["verify"].add_argument(
         "-n",
         "--length",
         type=int,
         default=20,
         help=f"index depth for enumerated identities (at most {MAX_DEPTH})",
     )
-    p_vf.add_argument("--format", choices=("plain", "json"), default="plain")
-    p_vf.set_defaults(handler=_cmd_verify)
-
-    p_fam = sub.add_parser("family", help="list the registered families")
-    p_fam.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p_fam.set_defaults(handler=_cmd_family)
-
+    for name, (handler, _, formats) in _COMMANDS.items():
+        commands[name].add_argument("--format", choices=formats, default="plain")
+        commands[name].set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except BinshiftError as exc:
+        result = args.handler(args)
+        _emit(args.format, result)
+    except (BinshiftError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return result.code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ from binshift.families import SegmentRow
 from binshift.verify import PropertyResult, SuiteReport
 
 GOLDEN_SEGMENTS = Path(__file__).parent / "golden" / "table2_segments.csv"
+# Distinct 997-digit denominators: each literal "1/..." has 999 characters.
+DENOMINATORS = [f"1/{10**996 + 2 * k + 1}" for k in range(120)]
 
 
 def run_cli(capsys, *argv):
@@ -259,6 +261,19 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "transform", "--inline", "1,2", "-r", "x")
         assert code == 2 and "cannot parse shift" in err
 
+    @pytest.mark.parametrize(
+        "argv, entry",
+        [
+            (("transform", "--inline", "1,inf"), "inf"),
+            (("transform", "--inline", "1,1/0", "-r", "1"), "1/0"),
+            (("shift-poly", "1,x", "-r", "1"), "x"),
+        ],
+    )
+    def test_bad_entry_names_the_entry(self, capsys, argv, entry):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot parse entry {entry!r}\n"
+
 
 class TestInputLimits:
     """Oversized input exits 2 at once, before any big value is built."""
@@ -298,3 +313,38 @@ class TestInputLimits:
             capsys, "transform", "--family", "fibonacci", "-n", str(cli.MAX_INDEX)
         )
         assert code == 0 and len(out.split()) == cli.MAX_INDEX + 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("transform", "--family", "fibonacci", "-r", "100000", "-n", "1000"),
+            ("shift-poly", "1,0,0,0,0,0,0,0,0,0,0", "-r=1e500"),
+            ("transform", "--inline", ",".join(DENOMINATORS[:60]), "-r", "1"),
+            ("transform", "--inline", ",".join(DENOMINATORS), "-r", "1"),
+            ("transform", "--inline", ",".join(["1"] * (cli.MAX_INDEX + 1)), "-r=1e990"),
+        ],
+        ids=[
+            "transform-output",
+            "shift-poly-output",
+            "inline-60-denominators",
+            "inline-120-denominators",
+            "inline-huge-shift",
+        ],
+    )
+    def test_oversized_output_exits_2(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: bound on output digits") and "over the limit" in err
+
+    def test_printable_outputs_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "transform", "--family", "fibonacci", "-r", "9000", "-n", "1000"
+        )
+        assert code == 0
+        assert max(len(v) for v in out.split()) == 3954
+        # The identity shift prints its input, however many denominators it has.
+        inline = ",".join(DENOMINATORS[:10])
+        code, out, _ = run_cli(capsys, "transform", "--inline", inline)
+        assert code == 0 and out == inline.replace(",", " ") + "\n"
