@@ -26,7 +26,8 @@ the ``-r=-1`` / ``--shift=-1/2`` form so they are not read as option names.
 Input sizes are capped, and each cap is checked before any value is
 built: a typo such as ``-n 100000`` or ``-r=1e100000000`` exits 2 at
 once instead of computing for minutes.  See :data:`MAX_INDEX`,
-:data:`MAX_LITERAL_DIGITS`, :data:`MAX_CASES` and :data:`MAX_DEPTH`.
+:data:`MAX_POLY_INDEX`, :data:`MAX_LITERAL_DIGITS`, :data:`MAX_CASES` and
+:data:`MAX_DEPTH`.
 Within those caps ``transform`` and ``shift-poly`` bound the digits of
 the largest integer they would print from the parsed inputs, and exit 2
 before computing when the bound is over Python's int-to-str limit
@@ -63,6 +64,7 @@ __all__ = [
     "main",
     "SCHEMAS",
     "MAX_INDEX",
+    "MAX_POLY_INDEX",
     "MAX_LITERAL_DIGITS",
     "MAX_CASES",
     "MAX_DEPTH",
@@ -71,6 +73,9 @@ __all__ = [
 # Last output index of ``transform -n``; ``--inline`` and ``shift-poly``
 # lists hold at most MAX_INDEX + 1 entries.
 MAX_INDEX = 1000
+# Last output index of ``transform -n`` for a polynomial family: term n has
+# degree n - 1, so computing the prefix costs O(n^3).
+MAX_POLY_INDEX = 150
 # Characters of one shift or list literal plus the size of its decimal
 # exponent, so ``1e100000000`` counts as 100000011 digits.
 MAX_LITERAL_DIGITS = 1000
@@ -299,12 +304,13 @@ def _json_value(v: Scalar):
 def _cmd_transform(args: argparse.Namespace) -> _Result:
     r = _parse_literal(args.shift, "shift")
     if args.length is not None:
+        if args.length < 0:
+            raise ValueError("length must be nonnegative")
         _check_cap("length", args.length, MAX_INDEX)
     if args.family is not None:
-        get_family(args.family)
         n_max = 9 if args.length is None else args.length
-        if n_max < 0:
-            raise ValueError("length must be nonnegative")
+        if get_family(args.family).domain.kind == "poly":
+            _check_cap("length of a polynomial family", n_max, MAX_POLY_INDEX)
         base = family_prefix(args.family, n_max)
     else:
         base = SequencePrefix(_parse_scalar_list(args.inline))

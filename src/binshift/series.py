@@ -13,15 +13,19 @@ The shift-r binomial transform acts as:
   stored form: binomial convolution with the powers of r)
 * Riordan view: the lower-triangular array with entries C(n, k) r^(n-k)
 
-all implemented by truncated series arithmetic so they can be checked
-against the direct sequence operator.
+all implemented by truncated series arithmetic of their own, so they can
+be checked against the direct sequence operator.  The OGF and Riordan
+views never multiply out powers of u = z/(1 - r z): dividing a truncated
+series by 1 - r z is the recurrence w_j = x_j + r * w_{j-1}, so the OGF
+substitution (Horner in u) costs O(N^2) scalar operations and one Riordan
+entry (n, k) costs O(k * (n - k)).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import KindMismatch, OrderMismatch
 from .exactnum import (
@@ -208,38 +212,41 @@ def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return TruncSeries(f.kind, out, target)
 
 
+def _over_geometric(xs: Sequence[Scalar], r: Scalar, order: int) -> list:
+    """Orders 0..order of xs(z) / (1 - r z), for len(xs) > order.
+
+    Dividing by 1 - r z is the recurrence w_j = x_j + r * w_{j-1}: O(order)
+    operations and no Cauchy product.
+    """
+    w = [xs[0]]
+    for j in range(1, order + 1):
+        w.append(xs[j] + r * w[-1])
+    return w
+
+
 def series_compose_geometric(f: TruncSeries, r: Scalar) -> TruncSeries:
     """OGF action of the shift-r transform:
 
         A(z) -> (1 - r z)^(-1) * A(z / (1 - r z))
 
-    computed by expanding powers of u = z/(1 - r z) truncated at the
-    series order.  u has valuation 1, so coefficient n of the result
-    depends only on input coefficients 0..n.
+    A(u) at u = z/(1 - r z) is evaluated by Horner in u from c_N down to
+    c_0, acc <- c_k + z * acc/(1 - r z), with each division by 1 - r z the
+    recurrence of :func:`_over_geometric`.  u^k has valuation k, so only
+    orders 0..N-k of acc reach the result; one last division applies
+    (1 - r z)^(-1).  O(N^2) scalar operations in all, on the promoted
+    coefficients; coefficient n of the result depends only on input
+    coefficients 0..n.
     """
     if f.kind != OGF:
         raise KindMismatch("geometric substitution acts on ogf series")
     target = join_domains(f.domain, domain_of(r))
     rp = promote(r, target)
-    zero_s = zero(target)
-    one_s = one(target)
-    n_ord = f.order
-    geom = [one_s]  # (1 - r z)^(-1) = sum r^j z^j
-    for _ in range(n_ord):
-        geom.append(geom[-1] * rp)
-    u = [zero_s] + geom[:n_ord]  # z * (1 - r z)^(-1)
     coeffs = f.promoted(target).coeffs
-    acc = [zero_s] * (n_ord + 1)
-    upow = [one_s] + [zero_s] * n_ord
-    for k in range(n_ord + 1):
-        ck = coeffs[k]
-        if ck != zero_s:
-            for j in range(k, n_ord + 1):
-                acc[j] = acc[j] + ck * upow[j]
-        if k < n_ord:
-            upow = _cauchy(upow, u, n_ord, zero_s)
-    out = _cauchy(acc, geom, n_ord, zero_s)
-    return TruncSeries(OGF, out, target)
+    n_ord = f.order
+    acc = [coeffs[n_ord]]
+    for k in range(n_ord - 1, -1, -1):
+        acc = [coeffs[k]] + _over_geometric(acc, rp, n_ord - k - 1)
+    return TruncSeries(OGF, _over_geometric(acc, rp, n_ord), target)
 
 
 def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
@@ -262,22 +269,19 @@ def riordan_entry(r: Scalar, n: int, k: int) -> Scalar:
     """Entry (n, k) of the transform's Riordan array.
 
     The array is ((1 - r z)^(-1), z (1 - r z)^(-1)); entry (n, k) is the
-    coefficient of z^n in (1 - r z)^(-1) * (z (1 - r z)^(-1))^k, which is
-    computed here by truncated series expansion.  It equals
-    C(n, k) * r^(n-k) and vanishes for k > n.
+    coefficient of z^n in (1 - r z)^(-1) * (z (1 - r z)^(-1))^k.  The
+    factor z^k only moves the coefficient read, so the entry is
+    coefficient n - k of the column [1, 0, ...] divided k + 1 times by
+    1 - r z with :func:`_over_geometric`: O(k * (n - k)) scalar operations.
+    It equals C(n, k) * r^(n-k) and vanishes for k > n.
     """
     if n < 0 or k < 0:
         raise ValueError("row and column must be nonnegative")
     dom = domain_of(r)
-    if k > n:
-        return zero(dom)
     zero_s = zero(dom)
-    one_s = one(dom)
-    geom = [one_s]
-    for _ in range(n):
-        geom.append(geom[-1] * r)
-    u = [zero_s] + geom[:n]
-    upow = [one_s] + [zero_s] * n
-    for _ in range(k):
-        upow = _cauchy(upow, u, n, zero_s)
-    return _cauchy(upow, geom, n, zero_s)[n]
+    if k > n:
+        return zero_s
+    column = [one(dom)] + [zero_s] * (n - k)
+    for _ in range(k + 1):
+        column = _over_geometric(column, r, n - k)
+    return column[-1]

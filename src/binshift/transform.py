@@ -26,7 +26,8 @@ prefix an a column and a b column, a poly(x) prefix one column per
 coefficient index.  Each column runs through the table on native ints,
 which yields D * q^n * b_n, and each output is divided once.  An
 irrational Quad shift or a non-constant Poly shift runs the same table
-on the scalars themselves, with q = 1.
+on the scalars themselves, with q = 1.  Shift 0 is the identity and
+returns the promoted prefix without running the table.
 """
 
 from __future__ import annotations
@@ -154,6 +155,8 @@ def apply_transform(
     target = join_domains(a.domain, domain_of(r))
     rp = promote(r, target)
     vals = a.promoted(target).values[: n_max + 1]
+    if rp == 0:  # the identity: no table, and no common denominator
+        return SequencePrefix(vals, target)
     ratio = _rational_parts(rp)
     if ratio is None or target.kind == "int":
         out = _difference_table(vals, rp, 1)

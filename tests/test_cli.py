@@ -94,10 +94,12 @@ class TestTransform:
         assert code == 2 and "error:" in err
 
     def test_negative_length_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "transform", "--family", "pell", "-n=-1"
-        )
-        assert code == 2 and "error:" in err
+        errors = set()
+        for source in (("--family", "pell"), ("--inline", "1,2")):
+            code, out, err = run_cli(capsys, "transform", *source, "-n=-1")
+            assert code == 2 and out == ""
+            errors.add(err)
+        assert errors == {"error: length must be nonnegative\n"}
 
     def test_source_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -287,6 +289,7 @@ class TestInputLimits:
             ("verify", "semigroup", "--length", "100000000"),
             ("transform", "--inline=1,1e-100000000", "-r", "1"),
             ("transform", "--inline", ",".join(["1"] * (cli.MAX_INDEX + 2))),
+            ("transform", "--family", "wpoly", "-n", str(cli.MAX_POLY_INDEX + 1)),
         ],
         ids=[
             "shift-literal",
@@ -295,6 +298,7 @@ class TestInputLimits:
             "verify-length",
             "inline-literal",
             "inline-entries",
+            "wpoly-length",
         ],
     )
     def test_oversized_input_exits_2(self, capsys, argv):
@@ -313,6 +317,11 @@ class TestInputLimits:
             capsys, "transform", "--family", "fibonacci", "-n", str(cli.MAX_INDEX)
         )
         assert code == 0 and len(out.split()) == cli.MAX_INDEX + 1
+        n = str(cli.MAX_POLY_INDEX)
+        code, out, _ = run_cli(
+            capsys, "transform", "--family", "wpoly", "-n", n, "--format", "json"
+        )
+        assert code == 0 and len(json.loads(out)["values"]) == cli.MAX_POLY_INDEX + 1
 
     @pytest.mark.parametrize(
         "argv",

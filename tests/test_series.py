@@ -8,11 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binshift.errors import KindMismatch, OrderMismatch
-from binshift.exactnum import Poly, Quad
+from binshift.exactnum import (
+    RAT,
+    Poly,
+    Quad,
+    domain_of,
+    join_domains,
+    one,
+    poly_domain,
+    promote,
+    render_scalar,
+    zero,
+)
 from binshift.series import (
     EGF,
     OGF,
     TruncSeries,
+    _cauchy,
     egf_transform,
     prefix_from_series,
     riordan_entry,
@@ -197,3 +209,174 @@ class TestRiordanEntry:
         for n in range(len(values)):
             total = sum(riordan_entry(2, n, k) * values[k] for k in range(n + 1))
             assert total == b[n]
+
+
+# Reference route for the two views, the expansion they used before the
+# division recurrence: multiply out the powers of u = z/(1 - r z) with
+# truncated Cauchy products, O(N^3) for the OGF and O(k n^2) for one
+# Riordan entry.
+
+
+def compose_by_powers_of_u(f, r):
+    target = join_domains(f.domain, domain_of(r))
+    rp = promote(r, target)
+    zero_s = zero(target)
+    one_s = one(target)
+    n_ord = f.order
+    geom = [one_s]  # (1 - r z)^(-1) = sum r^j z^j
+    for _ in range(n_ord):
+        geom.append(geom[-1] * rp)
+    u = [zero_s] + geom[:n_ord]  # z * (1 - r z)^(-1)
+    coeffs = f.promoted(target).coeffs
+    acc = [zero_s] * (n_ord + 1)
+    upow = [one_s] + [zero_s] * n_ord
+    for k in range(n_ord + 1):
+        ck = coeffs[k]
+        if ck != zero_s:
+            for j in range(k, n_ord + 1):
+                acc[j] = acc[j] + ck * upow[j]
+        if k < n_ord:
+            upow = _cauchy(upow, u, n_ord, zero_s)
+    return TruncSeries(OGF, _cauchy(acc, geom, n_ord, zero_s), target)
+
+
+def riordan_by_powers_of_u(r, n, k):
+    dom = domain_of(r)
+    if k > n:
+        return zero(dom)
+    zero_s = zero(dom)
+    one_s = one(dom)
+    geom = [one_s]
+    for _ in range(n):
+        geom.append(geom[-1] * r)
+    u = [zero_s] + geom[:n]
+    upow = [one_s] + [zero_s] * n
+    for _ in range(k):
+        upow = _cauchy(upow, u, n, zero_s)
+    return _cauchy(upow, geom, n, zero_s)[n]
+
+
+def double_sum(values, r):
+    return [
+        sum(math.comb(n, k) * r ** (n - k) * values[k] for k in range(n + 1))
+        for n in range(len(values))
+    ]
+
+
+def assert_same_scalars(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) is type(y)
+        assert render_scalar(x) == render_scalar(y)
+
+
+SERIES_DOMAINS = ("int", "rat", "quad5", "quad999983", "polyx")
+
+
+@st.composite
+def series_and_shift_st(draw):
+    """An OGF series over one of SERIES_DOMAINS, order 0..20, and an int,
+    Fraction, irrational Quad or non-constant Poly shift that joins with it."""
+    dom = draw(st.sampled_from(SERIES_DOMAINS))
+    size = draw(st.integers(min_value=1, max_value=21))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if dom == "int":
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    elif dom == "rat":
+        coeffs = draw(st.lists(small, min_size=size, max_size=size))
+    elif dom.startswith("quad"):
+        d = int(dom[4:])
+        pairs = draw(st.lists(st.tuples(small, small), min_size=size, max_size=size))
+        coeffs = [Quad(a, b, d) for a, b in pairs]
+    else:
+        polys = draw(st.lists(st.lists(small, max_size=3), min_size=size, max_size=size))
+        coeffs = [Poly(cs, "x") for cs in polys]
+    f = TruncSeries(OGF, coeffs, RAT if dom == "rat" else None)
+    kinds = ["int", "rat", "poly" if dom in ("int", "rat", "polyx") else "quad"]
+    if dom in ("int", "rat"):
+        kinds.append("quad")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        r = draw(st.integers(-3, 3))
+    elif kind == "rat":
+        r = draw(small)
+    elif kind == "quad":
+        d = int(dom[4:]) if dom.startswith("quad") else draw(st.sampled_from((5, 999983)))
+        r = Quad(draw(small), draw(small.filter(bool)), d)
+    else:
+        r = Poly([draw(small), draw(small.filter(bool))], "x")
+    return f, r
+
+
+class TestViewsAgainstPowersOfU:
+    """The division recurrence gives, scalar for scalar, what the
+    powers-of-u expansion and the double sum give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(series_and_shift_st())
+    def test_compose_geometric(self, case):
+        f, r = case
+        got = series_compose_geometric(f, r)
+        want = compose_by_powers_of_u(f, r)
+        assert got.domain == want.domain
+        assert_same_scalars(got.coeffs, want.coeffs)
+        rp = promote(r, got.domain)
+        assert list(got.coeffs) == double_sum(f.promoted(got.domain).coeffs, rp)
+
+    @pytest.mark.parametrize(
+        "r",
+        [3, Fraction(-2, 3), Quad(1, 1, 5), Quad(0, -2, 999983), Poly((1, 1), "x")],
+        ids=["int", "rat", "quad5", "quad999983", "polyx"],
+    )
+    @pytest.mark.parametrize(
+        "n, k", [(0, 0), (5, 0), (5, 5), (0, 1), (4, 7), (6, 2)]
+    )
+    def test_riordan_entry(self, r, n, k):
+        got = riordan_entry(r, n, k)
+        want = riordan_by_powers_of_u(r, n, k)
+        assert_same_scalars([got], [want])
+        assert domain_of(got) == domain_of(r)
+        expected = math.comb(n, k) * r ** (n - k) if k <= n else 0
+        assert got == expected
+
+
+class TestViewsGrowQuadratically:
+    """Counted Poly constructions: doubling the order of a poly(x) series
+    multiplies them by about 4 (O(N^2)), not 8 (O(N^3))."""
+
+    @pytest.fixture
+    def poly_news(self, monkeypatch):
+        calls = [0]
+        original = Poly._new
+
+        def counted(cls, coeffs, var):
+            calls[0] += 1
+            return original(coeffs, var)
+
+        monkeypatch.setattr(Poly, "_new", classmethod(counted))
+        return calls
+
+    def _count(self, poly_news, fn):
+        poly_news[0] = 0
+        fn()
+        return poly_news[0]
+
+    def test_compose_geometric(self, poly_news):
+        def series(order):
+            return TruncSeries(
+                OGF, [Poly((k, 1 - k), "x") for k in range(order + 1)], poly_domain("x")
+            )
+
+        small, large = series(20), series(40)
+        r = Fraction(1, 3)
+        ratio = self._count(poly_news, lambda: series_compose_geometric(large, r)) / (
+            self._count(poly_news, lambda: series_compose_geometric(small, r))
+        )
+        assert ratio < 5
+
+    def test_riordan_entry(self, poly_news):
+        r = 1 + Poly.indeterminate("x")
+        ratio = self._count(poly_news, lambda: riordan_entry(r, 24, 12)) / (
+            self._count(poly_news, lambda: riordan_entry(r, 12, 6))
+        )
+        assert ratio < 5

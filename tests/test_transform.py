@@ -1,6 +1,7 @@
 """The shift-parameterized binomial transform on sequence prefixes."""
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -264,6 +265,37 @@ class TestDifferentialKernel:
             assert [type(c) for c in _components(got)] == [
                 type(c) for c in _components(want)
             ]
+
+
+class TestShiftZero:
+    """Shift 0 is the identity: the promoted prefix comes back without a
+    difference table or a common denominator."""
+
+    def test_many_large_denominators_return_at_once(self):
+        prefix = SequencePrefix([Fraction(1, 10**996 + 2 * k + 1) for k in range(120)])
+        t0 = time.perf_counter()
+        out = apply_transform(prefix, 0)
+        assert time.perf_counter() - t0 < 0.1
+        assert out == prefix and out.domain == RAT
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (3, -1, 0, 7),
+            (Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 4)),
+            (Quad(1, 2, 5), Quad(0, Fraction(-1, 2), 5), Quad(0, 0, 5), Quad(4, 0, 5)),
+            (X, 1 - X, Poly((), "x"), Poly((0, 0, Fraction(3, 2)), "x")),
+        ],
+        ids=["int", "rat", "quad5", "polyx"],
+    )
+    def test_types_and_text_kept(self, values):
+        prefix = SequencePrefix(values)
+        for r in (0, exactnum.zero(prefix.domain)):
+            out = apply_transform(prefix, r)
+            assert out.domain == prefix.domain
+            for got, want in zip(out.values, prefix.values, strict=True):
+                assert type(got) is type(want)
+                assert render_scalar(got) == render_scalar(want)
 
 
 class TestConstructorCounts:
