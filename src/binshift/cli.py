@@ -490,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--length",
         type=int,
         help="last output index (default: 9 for families, input length for inline;"
-        f" at most {MAX_INDEX})",
+        f" at most {MAX_INDEX}, or {MAX_POLY_INDEX} for a polynomial family)",
     )
     commands["table"].add_argument("which", choices=("recurrences", "segments"))
     commands["verify"].add_argument("suite", choices=SUITE_NAMES)

@@ -73,6 +73,21 @@ def _as_fraction(value: object) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _power(base, n, unit):
+    """``base ** n`` by square-and-multiply, starting from ``unit``."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        return NotImplemented
+    if n < 0:
+        raise ValueError("negative power; use scalar_inv to invert a field element")
+    result = unit
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 @functools.lru_cache(maxsize=256)
 def is_squarefree(n: int) -> bool:
     """True if no square larger than 1 divides ``n`` (sign ignored).
@@ -263,18 +278,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or isinstance(n, bool):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly._new((Fraction(1),), self._var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Poly._new((Fraction(1),), self._var))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -449,18 +453,7 @@ class Quad:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Quad":
-        if not isinstance(n, int) or isinstance(n, bool):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative power; use scalar_inv for inversion")
-        result = Quad._new(Fraction(1), Fraction(0), self._d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Quad._new(Fraction(1), Fraction(0), self._d))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Quad):

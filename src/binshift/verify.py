@@ -1,8 +1,7 @@
 """Seeded self-verification suites exposed through the CLI.
 
 Four suites, each a list of named properties checked over many exact
-cases (randomized ones draw from a ``random.Random`` seeded explicitly,
-so a report is reproducible byte for byte):
+cases:
 
 * ``semigroup``: composition, inversion, linearity, triangularity and
   iterated-transform laws of the shift operator family.
@@ -17,9 +16,15 @@ so a report is reproducible byte for byte):
   OGF/EGF/Riordan generating-function views, all against the direct
   sequence operator.
 
-``run_suite("all", ...)`` executes every suite with qualified property
-names.  Each property reports how many cases it ran and, on failure, a
-minimal description of the first failing case.
+Each property is a generator ``prop(rng, cases, depth)`` that yields one
+``(inputs, holds)`` pair per case: a dict of the case's named inputs and
+whether the property held.  :func:`run_suite` owns the only case loop.  It
+seeds every property with its own
+``random.Random(f"{seed}:{suite}.{property}")``, so a property draws the
+same cases alone, in its suite or under ``"all"``, and a report is
+reproducible byte for byte.  A property stops at its first case that does
+not hold, with the failure text ``seed S, suite.property, case i: k=v, ...``,
+which names everything needed to replay that case.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from functools import partial
 
 from .exactnum import (
     RAT,
@@ -36,7 +41,6 @@ from .exactnum import (
     join_domains,
     one,
     promote,
-    render_scalar,
     zero,
 )
 from .families import (
@@ -106,12 +110,6 @@ class SuiteReport:
         return all(p.ok for p in self.properties)
 
 
-# Each property receives the shared RNG, the requested case count for
-# randomized checks, and the index depth for enumerated ones; it returns
-# (cases actually run, failure message or None).
-PropFn = Callable[[random.Random, int, int], tuple[int, "str | None"]]
-
-
 def _rand_fraction(rng: random.Random, bound: int = 9, max_den: int = 9) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, max_den))
 
@@ -134,26 +132,22 @@ def _rand_monic(rng: random.Random, max_degree: int) -> CharPoly:
 
 
 def _prop_compose_additive(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         a = _rand_rat_prefix(rng, 12)
         r, s = _rand_fraction(rng), _rand_fraction(rng)
         nested = apply_transform(apply_transform(a, s), r)
-        if compose_transforms(a, r, s) != nested:
-            return i + 1, f"case {i}: r={r}, s={s}"
-    return cases, None
+        yield {"r": r, "s": s}, compose_transforms(a, r, s) == nested
 
 
 def _prop_inverse_roundtrip(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         a = _rand_rat_prefix(rng, 12)
         r = _rand_fraction(rng)
-        if inverse_transform(apply_transform(a, r), r) != a:
-            return i + 1, f"case {i}: r={r}"
-    return cases, None
+        yield {"r": r}, inverse_transform(apply_transform(a, r), r) == a
 
 
 def _prop_linearity(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         xs = _rand_rat_prefix(rng, 10)
         ys = _rand_rat_prefix(rng, 10)
         alpha, beta = _rand_fraction(rng), _rand_fraction(rng)
@@ -164,13 +158,11 @@ def _prop_linearity(rng, cases, depth):
         lhs = apply_transform(mixed, r).values
         tx, ty = apply_transform(xs, r), apply_transform(ys, r)
         rhs = tuple(alpha * x + beta * y for x, y in zip(tx, ty))
-        if lhs != rhs:
-            return i + 1, f"case {i}: r={r}, alpha={alpha}, beta={beta}"
-    return cases, None
+        yield {"r": r, "alpha": alpha, "beta": beta}, lhs == rhs
 
 
 def _prop_triangularity(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         vals = [_rand_fraction(rng) for _ in range(10)]
         r = _rand_fraction(rng)
         cut = rng.randrange(10)
@@ -179,26 +171,23 @@ def _prop_triangularity(rng, cases, depth):
             other[k] = _rand_fraction(rng)
         b1 = apply_transform(SequencePrefix(vals, RAT), r)
         b2 = apply_transform(SequencePrefix(other, RAT), r)
-        if b1.values[: cut + 1] != b2.values[: cut + 1]:
-            return i + 1, f"case {i}: outputs 0..{cut} depend on later inputs"
-    return cases, None
+        # outputs 0..cut must not depend on the inputs after cut
+        yield {"r": r, "cut": cut}, b1.values[: cut + 1] == b2.values[: cut + 1]
 
 
 def _prop_iterated_additive(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         a = SequencePrefix([rng.randint(-9, 9) for _ in range(10)])
         m1, m2 = rng.randint(0, 3), rng.randint(0, 3)
         twice = iterated_binomial(iterated_binomial(a, m1), m2)
-        if twice != iterated_binomial(a, m1 + m2):
-            return i + 1, f"case {i}: m1={m1}, m2={m2}"
-    return cases, None
+        yield {"m1": m1, "m2": m2}, twice == iterated_binomial(a, m1 + m2)
 
 
 # --- rootshift suite -------------------------------------------------------
 
 
 def _prop_annihilation(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         p = _rand_monic(rng, 4)
         d = p.degree
         rec = Recurrence(p, [_rand_fraction(rng, 5, 4) for _ in range(d)])
@@ -206,29 +195,22 @@ def _prop_annihilation(rng, cases, depth):
         b = apply_transform(unroll(rec, 20), r)
         residual = apply_char_operator(shift_characteristic(p, r), b)
         # residual indices 0..20-d cover 0..16 for every degree <= 4
-        if any(v != 0 for v in residual):
-            return i + 1, f"case {i}: degree {d}, r={r}"
-    return cases, None
+        yield {"degree": d, "r": r}, all(v == 0 for v in residual)
 
 
 def _prop_shift_additive(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         p = _rand_monic(rng, 5)
         r, s = _rand_fraction(rng), _rand_fraction(rng)
-        if shift_characteristic(shift_characteristic(p, s), r) != shift_characteristic(
-            p, r + s
-        ):
-            return i + 1, f"case {i}: r={r}, s={s}"
-    return cases, None
+        twice = shift_characteristic(shift_characteristic(p, s), r)
+        yield {"r": r, "s": s}, twice == shift_characteristic(p, r + s)
 
 
 def _prop_shift_roundtrip(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         p = _rand_monic(rng, 5)
         r = _rand_fraction(rng)
-        if shift_characteristic(shift_characteristic(p, r), -r) != p:
-            return i + 1, f"case {i}: r={r}"
-    return cases, None
+        yield {"r": r}, shift_characteristic(shift_characteristic(p, r), -r) == p
 
 
 def _naive_substitution_shift(p: CharPoly, r) -> CharPoly:
@@ -257,102 +239,72 @@ def _naive_substitution_shift(p: CharPoly, r) -> CharPoly:
 
 
 def _prop_shift_matches_substitution(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         p = _rand_monic(rng, 6)
         r = _rand_fraction(rng)
-        if shift_characteristic(p, r) != _naive_substitution_shift(p, r):
-            return i + 1, f"case {i}: degree {p.degree}, r={r}"
-    return cases, None
+        holds = shift_characteristic(p, r) == _naive_substitution_shift(p, r)
+        yield {"degree": p.degree, "r": r}, holds
 
 
 def _prop_intertwining_zero(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         a = _rand_rat_prefix(rng, 10)
         r = _rand_fraction(rng)
-        if any(v != 0 for v in intertwine_residual(a, r)):
-            return i + 1, f"case {i}: r={r}"
-    return cases, None
+        yield {"r": r}, all(v == 0 for v in intertwine_residual(a, r))
 
 
 def _prop_transformed_recurrence_coherent(rng, cases, depth):
-    ran = 0
     for name in INTEGER_FAMILIES:
         rec = family_recurrence(name)
         base = unroll(rec, depth)
         for r in range(-2, 3):
-            ran += 1
-            direct = apply_transform(base, r)
             rerolled = unroll(transform_recurrence(rec, r), depth)
-            if direct != rerolled:
-                return ran, f"{name} at r={r}"
-    return ran, None
+            yield {"family": name, "r": r}, apply_transform(base, r) == rerolled
 
 
 # --- identities suite ------------------------------------------------------
 
 
-def _make_special_identity_prop(identity: str) -> PropFn:
-    def prop(rng, cases, depth):
-        checks = [
-            c for c in special_identities_report(depth) if c.identity == identity
-        ]
-        for c in checks:
-            if not c.ok:
-                return len(checks), f"n={c.n}: {c.lhs} != {c.rhs}"
-        return len(checks), None
-
-    return prop
+def _special_identity(identity, rng, cases, depth):
+    for c in special_identities_report(depth):
+        if c.identity == identity:
+            yield {"n": c.n, "lhs": c.lhs, "rhs": c.rhs}, c.ok
 
 
 def _prop_table_segments(rng, cases, depth):
-    rows = table_initial_segments()
-    cells = sum(len(row.golden) for row in rows)
-    for row in rows:
-        if not row.ok:
-            return cells, f"{row.family} at r={row.r}: {row.values}"
-    return cells, None
+    for row in table_initial_segments():
+        for n, (value, golden) in enumerate(zip(row.values, row.golden, strict=True)):
+            yield {"family": row.family, "r": row.r, "n": n}, value == golden
 
 
 def _prop_table_recurrences(rng, cases, depth):
-    rows = recurrences_table()
-    for row in rows:
-        if not row.ok:
-            return len(rows), f"{row.family}: b1={row.b1.compact()}"
-    return len(rows), None
+    for row in recurrences_table():
+        yield {"family": row.family, "b1": row.b1, "b2": row.b2}, row.ok
 
 
 def _prop_wpoly_matches_operator(rng, cases, depth):
     base = family_prefix("wpoly", 10)
-    ran = 0
     for r in (0, 1, 2):
         direct = apply_transform(base, r)
         from_template = unroll(
             transform_recurrence(family_recurrence("wpoly"), r), 10
         )
         for n in range(11):
-            ran += 1
-            if direct[n] != from_template[n]:
-                return ran, f"r={r}, n={n}"
-    return ran, None
+            yield {"r": r, "n": n}, direct[n] == from_template[n]
 
 
 # --- models suite ----------------------------------------------------------
 
 
 def _prop_binet_matches_base(rng, cases, depth):
-    ran = 0
     for name in INTEGER_FAMILIES:
         form = family_binet_form(name)
         base = family_prefix(name, depth)
         for n in range(depth + 1):
-            ran += 1
-            if binet_eval(form, n) != base[n]:
-                return ran, f"{name} at n={n}"
-    return ran, None
+            yield {"family": name, "n": n}, binet_eval(form, n) == base[n]
 
 
 def _prop_binet_shift_equivalence(rng, cases, depth):
-    ran = 0
     for name in INTEGER_FAMILIES:
         form = family_binet_form(name)
         base = family_prefix(name, depth)
@@ -360,14 +312,10 @@ def _prop_binet_shift_equivalence(rng, cases, depth):
             shifted = binet_shift(form, r)
             b = apply_transform(base, r)
             for n in range(depth + 1):
-                ran += 1
-                if binet_eval(shifted, n) != b[n]:
-                    return ran, f"{name} at r={r}, n={n}"
-    return ran, None
+                yield {"family": name, "r": r, "n": n}, binet_eval(shifted, n) == b[n]
 
 
 def _prop_matrix_shift_equivalence(rng, cases, depth):
-    ran = 0
     n_top = min(depth, 15)
     for name in INTEGER_FAMILIES:
         model = model_from_recurrence(family_recurrence(name))
@@ -375,14 +323,12 @@ def _prop_matrix_shift_equivalence(rng, cases, depth):
         for r in (-1, 1, 2, Fraction(1, 2)):
             b = apply_transform(base, r)
             for n in range(n_top + 1):
-                ran += 1
-                if matrix_transform_eval(model, r, n) != b[n]:
-                    return ran, f"{name} at r={r}, n={n}"
-    return ran, None
+                holds = matrix_transform_eval(model, r, n) == b[n]
+                yield {"family": name, "r": r, "n": n}, holds
 
 
 def _prop_matrix_shift_additive(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         dim = rng.randint(1, 3)
         rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
         u = [rng.randint(-2, 2) for _ in range(dim)]
@@ -392,87 +338,74 @@ def _prop_matrix_shift_additive(rng, cases, depth):
         n = rng.randint(0, 6)
         once = matrix_transform_eval(model, r + s, n)
         shifted_rows = [
-            [x + (s if i2 == j2 else 0) for j2, x in enumerate(row)]
-            for i2, row in enumerate(rows)
+            [x + (s if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
         ]
         twice = matrix_transform_eval(MatrixModel(shifted_rows, u, v), r, n)
-        if once != twice:
-            return i + 1, f"case {i}: dim={dim}, r={r}, s={s}, n={n}"
-    return cases, None
+        yield {"dim": dim, "r": r, "s": s, "n": n}, once == twice
 
 
 def _prop_colored_matches_operator(rng, cases, depth):
     top = min(depth, 8)
-    for i in range(cases):
+    for _ in range(cases):
         n = rng.randint(0, top)
         values = [rng.randint(0, 6) for _ in range(n + 1)]
         r = rng.randint(0, 3)
         a = SequencePrefix(values)
-        if colored_count_bruteforce(a, r, n) != apply_transform(a, r)[n]:
-            return i + 1, f"case {i}: n={n}, r={r}"
-    return cases, None
+        holds = colored_count_bruteforce(a, r, n) == apply_transform(a, r)[n]
+        yield {"n": n, "r": r}, holds
 
 
 _GF_SHIFTS = (-2, -1, 0, 1, 2, Fraction(1, 2))
 
 
 def _prop_ogf_matches_operator(rng, cases, depth):
-    ran = 0
     for name in family_names():
         base = family_prefix(name, 16)
         f = series_from_prefix(base)
         for r in _GF_SHIFTS:
-            ran += 1
             composed = series_compose_geometric(f, r)
             direct = apply_transform(base, r)
-            if any(composed.coefficient(n) != direct[n] for n in range(17)):
-                return ran, f"{name} at r={render_scalar(r)}"
-    return ran, None
+            holds = all(composed.coefficient(n) == direct[n] for n in range(17))
+            yield {"family": name, "r": r}, holds
 
 
 def _prop_egf_matches_operator(rng, cases, depth):
-    ran = 0
     for name in family_names():
         base = family_prefix(name, 16)
         f = series_from_prefix(base, EGF)
         for r in _GF_SHIFTS:
-            ran += 1
             multiplied = egf_transform(f, r)
             direct = apply_transform(base, r)
-            if any(multiplied.coefficient(n) != direct[n] for n in range(17)):
-                return ran, f"{name} at r={render_scalar(r)}"
-    return ran, None
+            holds = all(multiplied.coefficient(n) == direct[n] for n in range(17))
+            yield {"family": name, "r": r}, holds
 
 
 def _prop_riordan_closed_form(rng, cases, depth):
-    ran = 0
     for r in _GF_SHIFTS:
         for n in range(13):
             for k in range(n + 1):
-                ran += 1
                 expected = math.comb(n, k) * r ** (n - k)
-                if riordan_entry(r, n, k) != expected:
-                    return ran, f"r={render_scalar(r)}, n={n}, k={k}"
-        ran += 1
-        if riordan_entry(r, 3, 7) != 0:
-            return ran, f"r={render_scalar(r)}: entry above the diagonal"
-    return ran, None
+                yield {"r": r, "n": n, "k": k}, riordan_entry(r, n, k) == expected
+        # an entry above the diagonal
+        yield {"r": r, "n": 3, "k": 7}, riordan_entry(r, 3, 7) == 0
 
 
 def _prop_riordan_action(rng, cases, depth):
-    for i in range(cases):
+    for _ in range(cases):
         a = SequencePrefix([rng.randint(-9, 9) for _ in range(10)])
         r = rng.choice((-1, 1, 2))
         n = rng.randrange(10)
         acc = 0
         for k in range(n + 1):
             acc += riordan_entry(r, n, k) * a[k]
-        if acc != apply_transform(a, r)[n]:
-            return i + 1, f"case {i}: r={r}, n={n}"
-    return cases, None
+        yield {"r": r, "n": n}, acc == apply_transform(a, r)[n]
 
 
-_SUITES: dict[str, tuple[tuple[str, PropFn], ...]] = {
+# Suite -> (property name, generator) in report order.  A generator calls
+# library functions by their names in this module, so a wrapper bound over
+# one of those names sees every call.
+_SUITES = {
     "semigroup": (
         ("compose_additive", _prop_compose_additive),
         ("inverse_roundtrip", _prop_inverse_roundtrip),
@@ -489,10 +422,10 @@ _SUITES: dict[str, tuple[tuple[str, PropFn], ...]] = {
         ("transformed_recurrence_coherent", _prop_transformed_recurrence_coherent),
     ),
     "identities": (
-        ("fibonacci_even_index", _make_special_identity_prop("fibonacci_even_index")),
-        ("lucas_even_index", _make_special_identity_prop("lucas_even_index")),
-        ("mersenne_power_gap", _make_special_identity_prop("mersenne_power_gap")),
-        ("jacobsthal_power", _make_special_identity_prop("jacobsthal_power")),
+        ("fibonacci_even_index", partial(_special_identity, "fibonacci_even_index")),
+        ("lucas_even_index", partial(_special_identity, "lucas_even_index")),
+        ("mersenne_power_gap", partial(_special_identity, "mersenne_power_gap")),
+        ("jacobsthal_power", partial(_special_identity, "jacobsthal_power")),
         ("table_segments", _prop_table_segments),
         ("table_recurrences", _prop_table_recurrences),
         ("wpoly_matches_operator", _prop_wpoly_matches_operator),
@@ -518,26 +451,37 @@ def run_suite(
 ) -> SuiteReport:
     """Run one named suite (or ``"all"``) and return its report.
 
-    The RNG is seeded once and shared by the properties in order, so a
-    (suite, seed, cases, depth) tuple always produces the same report.
+    Every property draws from its own ``random.Random`` seeded with the
+    string ``f"{seed}:{suite}.{property}"``, qualified even when one suite
+    runs alone, so it meets the same cases alone or under ``"all"`` and a
+    (suite, seed, cases, depth) tuple always produces the same report.  A
+    property stops at its first case i that does not hold: it then reports
+    i + 1 cases and the failure ``seed S, suite.property, case i: k=v, ...``
+    with the case's named inputs.  A passing property's case count depends
+    on ``cases`` and ``depth`` only, never on the seed.
     """
     if suite == "all":
         selected = list(_SUITES)
-        qualify = True
     elif suite in _SUITES:
         selected = [suite]
-        qualify = False
     else:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
     if cases < 1:
         raise ValueError("cases must be positive")
     if depth < 1:
         raise ValueError("depth must be positive")
-    rng = random.Random(seed)
     results = []
     for name in selected:
-        for prop_name, fn in _SUITES[name]:
-            label = f"{name}.{prop_name}" if qualify else prop_name
-            ran, failure = fn(rng, cases, depth)
+        for prop_name, prop in _SUITES[name]:
+            qualified = f"{name}.{prop_name}"
+            rng = random.Random(f"{seed}:{qualified}")
+            ran, failure = 0, None
+            for inputs, holds in prop(rng, cases, depth):
+                ran += 1
+                if not holds:
+                    shown = ", ".join(f"{k}={v}" for k, v in inputs.items())
+                    failure = f"seed {seed}, {qualified}, case {ran - 1}: {shown}"
+                    break
+            label = qualified if suite == "all" else prop_name
             results.append(PropertyResult(label, ran, failure is None, failure))
     return SuiteReport(suite, seed, cases, results)

@@ -1,16 +1,20 @@
 """End-to-end CLI behavior via in-process main() calls."""
 
+import contextlib
+import io
 import json
 import time
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import binshift.cli as cli
 from binshift.cli import SCHEMAS, main
-from binshift.families import SegmentRow
-from binshift.verify import PropertyResult, SuiteReport
+from binshift.families import SegmentRow, family_names
+from binshift.verify import SUITE_NAMES, PropertyResult, SuiteReport
 
 GOLDEN_SEGMENTS = Path(__file__).parent / "golden" / "table2_segments.csv"
 # Distinct 997-digit denominators: each literal "1/..." has 999 characters.
@@ -357,3 +361,88 @@ class TestInputLimits:
         inline = ",".join(DENOMINATORS[:10])
         code, out, _ = run_cli(capsys, "transform", "--inline", inline)
         assert code == 0 and out == inline.replace(",", " ") + "\n"
+
+
+class TestHelp:
+    def test_length_help_names_both_caps(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        caps = f"at most {cli.MAX_INDEX}, or {cli.MAX_POLY_INDEX} for a polynomial"
+        assert caps in text
+
+
+# Literals around every parse rule and at and just over the literal cap
+# ("1e995" counts 1000 digits, "1e996" 1001).
+_DIGITS = cli.MAX_LITERAL_DIGITS
+_LITERALS = [
+    *("", "0", "-0", "1", "-1", "2", "-3/7", "1/2", "1/0", "inf", "x", "2e3", "-2e-2"),
+    *(f"1e{_DIGITS - 5}", f"1e{_DIGITS - 4}", "9" * _DIGITS, "9" * (_DIGITS + 1)),
+]
+_LENGTHS = [-1, 0, 1, 9, cli.MAX_POLY_INDEX, cli.MAX_POLY_INDEX + 1]
+_LENGTHS += [cli.MAX_INDEX, cli.MAX_INDEX + 1]
+
+
+def _flag(flag, values):
+    return st.sampled_from(values).map(lambda v: [f"{flag}={v}"])
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), _flag(flag, values))
+
+
+def _argv():
+    fmt = _optional("--format", ["plain", "json", "csv", "oeis", "bad"])
+    entries = st.lists(st.sampled_from(_LITERALS), min_size=1, max_size=4).map(",".join)
+    ones = st.sampled_from([cli.MAX_INDEX + 1, cli.MAX_INDEX + 2]).map(
+        lambda n: ",".join(["1"] * n)
+    )
+    source = st.one_of(
+        st.sampled_from([*family_names(), "nosuch"]).map(lambda f: ["--family", f]),
+        st.one_of(entries, ones).map(lambda e: [f"--inline={e}"]),
+    )
+    shift = _optional("-r", _LITERALS)
+    coeffs = st.builds(
+        lambda lead, rest: ",".join([lead, *rest]),
+        st.sampled_from(["1", "2", "0", ""]),
+        st.lists(st.sampled_from(_LITERALS), max_size=3),
+    )
+    commands = st.one_of(
+        st.tuples(
+            st.just(["transform"]), source, shift, _optional("-n", _LENGTHS), fmt
+        ),
+        st.tuples(st.just(["shift-poly"]), coeffs.map(lambda c: [c]), shift, fmt),
+        st.tuples(
+            st.just(["verify"]),
+            st.sampled_from([*SUITE_NAMES, "bogus"]).map(lambda s: [s]),
+            _flag("--seed", [-1, 0, 7919]),
+            _flag("--cases", [0, 1, 2, cli.MAX_CASES + 1]),
+            _flag("-n", [0, 1, 3, cli.MAX_DEPTH + 1]),
+            fmt,
+        ),
+        st.tuples(
+            st.just(["table"]),
+            st.sampled_from(["recurrences", "segments", "bogus"]).map(lambda w: [w]),
+            fmt,
+        ),
+        st.tuples(st.just(["family"]), fmt),
+        st.just((["bogus"],)),
+    )
+    return commands.map(lambda parts: [arg for part in parts for arg in part])
+
+
+class TestArgvFuzz:
+    """Any argv ends in exit 0 or 2 with at most one error line, never a traceback."""
+
+    @settings(max_examples=150, deadline=10_000)
+    @given(argv=_argv())
+    def test_exit_0_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2), argv
+        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1

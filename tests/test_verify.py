@@ -1,7 +1,11 @@
 """The randomized self-check suites."""
 
+import re
+
 import pytest
 
+import binshift.verify as verify
+from binshift.transform import SequencePrefix
 from binshift.verify import SUITE_NAMES, run_suite
 
 
@@ -63,3 +67,76 @@ def test_report_shape():
     assert report.requested_cases == 8
     failures = [p.failure for p in report.properties if not p.ok]
     assert failures == []
+
+
+@pytest.fixture
+def wrong_at_one(monkeypatch):
+    """Make ``verify``'s ``apply_transform`` wrong in its last value at r = 1."""
+    real = verify.apply_transform
+
+    def wrong(a, r, n_max=None):
+        out = real(a, r, n_max)
+        if r != 1:
+            return out
+        values = list(out.values)
+        values[-1] += 1
+        return SequencePrefix(values, out.domain)
+
+    monkeypatch.setattr(verify, "apply_transform", wrong)
+
+
+class TestRunner:
+    def test_properties_independent_of_the_run(self, wrong_at_one):
+        report = run_suite("all", seed=11, cases=20, depth=10)
+        whole = {p.name: p for p in report.properties}
+        for suite in SUITE_NAMES[:-1]:
+            for prop in run_suite(suite, seed=11, cases=20, depth=10).properties:
+                same = whole[f"{suite}.{prop.name}"]
+                assert (prop.cases, prop.ok, prop.failure) == (
+                    same.cases,
+                    same.ok,
+                    same.failure,
+                )
+        # Each of these runs r = 1 through the patched name, so each fails;
+        # a property holding its own reference to the function would pass.
+        for name in (
+            "rootshift.transformed_recurrence_coherent",
+            "identities.wpoly_matches_operator",
+            "models.binet_shift_equivalence",
+            "models.matrix_shift_equivalence",
+            "models.ogf_matches_operator",
+            "models.egf_matches_operator",
+        ):
+            assert not whole[name].ok, name
+
+    def test_failure_names_seed_property_and_case(self, wrong_at_one):
+        for suite in ("semigroup", "all"):
+            report = run_suite(suite, seed=5, cases=20, depth=10)
+            assert not report.ok
+            for prop in (p for p in report.properties if not p.ok):
+                qualified = prop.name if suite == "all" else f"{suite}.{prop.name}"
+                pattern = rf"seed 5, {re.escape(qualified)}, case (\d+): "
+                head = re.match(pattern, prop.failure)
+                assert head, prop.failure
+                assert prop.cases == int(head.group(1)) + 1
+
+    def test_failure_shows_the_case_inputs(self, wrong_at_one):
+        report = run_suite("rootshift", seed=0, cases=5, depth=10)
+        [prop] = [
+            p for p in report.properties if p.name == "transformed_recurrence_coherent"
+        ]
+        # families in order, shifts -2..2: the first failure is r = 1
+        assert prop.cases == 4
+        assert prop.failure == (
+            "seed 0, rootshift.transformed_recurrence_coherent, case 3: "
+            "family=fibonacci, r=1"
+        )
+
+    def test_passing_case_counts_do_not_depend_on_the_seed(self):
+        counts = {}
+        for seed in (0, 7919, 12345):
+            report = run_suite("all", seed=seed, cases=30, depth=15)
+            counts[seed] = [(p.name, p.cases, p.ok) for p in report.properties]
+        assert counts[0] == counts[7919] == counts[12345]
+        assert all(ok for _, _, ok in counts[0])
+        assert len(counts[0]) == 27
