@@ -17,22 +17,30 @@ route between polynomials and quadratic fields, between quadratic fields
 with different radicands, or between non-constant polynomials in different
 indeterminates.
 
+``Poly`` and ``Quad`` store int numerators over one positive common
+denominator, in lowest terms, so their arithmetic runs on native ints and
+builds no Fraction; the Fractions their accessors return are built when
+read.
+
 Values are validated once, by the public constructors (``Poly(...)``,
 ``Quad(...)``, :func:`poly_domain`, :func:`quad_domain`) and by
 :func:`promote`, which calls them.  Results of arithmetic on valid values
-are built by the unchecked ``_new`` constructors and skip validation: their
-components are already Fractions and their radicand or indeterminate name
-comes from a validated operand.  :func:`unify` is the one place that joins
-the domains of a collection of values and promotes each into the result.
+are built by the unchecked ``_new`` constructors and skip validation:
+their components are ints computed from validated operands, and their
+radicand or indeterminate name comes from a validated operand.  ``_new``
+is the one place that brings a result into lowest terms.  :func:`unify` is
+the one place that joins the domains of a collection of values and
+promotes each into the result.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import DivisionByZero, DomainMismatch, NonInvertibleDomain
 
@@ -73,6 +81,33 @@ def _as_fraction(value: object) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _lowest(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """``nums`` and ``den > 0`` divided by their gcd: a tuple and an int."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    # Built from a list, not a generator (so are Poly.coeffs and unify's
+    # tuple): a tuple built from a generator is allocated at a guessed size
+    # and resized, which drains one tuple free list and fills another, and
+    # only a full garbage collection, rare under int arithmetic, empties
+    # them again.
+    return tuple([c // g for c in nums]), den // g
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Int numerators of ``values`` over the lcm of their denominators."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _stripped(nums: Sequence[int]) -> Sequence[int]:
+    """``nums`` without its trailing zeros."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    return nums[:end]
+
+
 def _power(base, n, unit):
     """``base ** n`` by square-and-multiply, starting from ``unit``."""
     if not isinstance(n, int) or isinstance(n, bool):
@@ -92,20 +127,23 @@ def _power(base, n, unit):
 def is_squarefree(n: int) -> bool:
     """True if no square larger than 1 divides ``n`` (sign ignored).
 
-    Zero is not squarefree.  Trial division takes O(sqrt(n)) steps, about
-    10^6 for a prime near 10^12, so the result is cached per radicand:
-    every ``Quad(...)`` checks its radicand, and a computation uses few.
+    Zero is not squarefree.  Trial division by 2 and then by odd factors
+    takes O(sqrt(n)) steps, about 5*10^5 for a prime near 10^12, so the
+    result is cached per radicand: every ``Quad(...)`` checks its radicand,
+    and a computation uses few.
     """
     n = abs(n)
-    if n == 0:
+    if n == 0 or n % 4 == 0:
         return False
-    f = 2
+    if n % 2 == 0:
+        n //= 2
+    f = 3
     while f * f <= n:
         if n % (f * f) == 0:
             return False
-        while n % f == 0:
+        if n % f == 0:
             n //= f
-        f += 1
+        f += 2
     return True
 
 
@@ -152,33 +190,35 @@ def quad_domain(d: int) -> Domain:
 class Poly:
     """Dense univariate polynomial with rational coefficients.
 
-    Coefficients are stored in ascending order with trailing zeros
-    stripped, so equal polynomials have identical coefficient tuples.  The
-    zero polynomial has an empty tuple and degree -1.  Every polynomial
-    remembers its indeterminate name; constants compare equal regardless
-    of the name, but two non-constant polynomials in different
+    Stored as a tuple of int numerators in ascending order over one
+    denominator ``den > 0``: trailing zeros are stripped and the
+    numerators share no factor with ``den``, so equal polynomials have
+    identical numerators and denominators.  The zero polynomial is ``()``
+    over 1 and has degree -1.  ``coeffs``, :meth:`coefficient` and
+    :meth:`constant_value` build their Fractions when read.  Every
+    polynomial remembers its indeterminate name; constants compare equal
+    regardless of the name, but two non-constant polynomials in different
     indeterminates never mix.
 
     Arithmetic accepts ``int`` on either side (the canonical integer
     action); rationals must be promoted explicitly.
     """
 
-    __slots__ = ("_coeffs", "_var")
+    __slots__ = ("_nums", "_den", "_var")
 
     def __init__(self, coeffs: Iterable[int | Fraction] = (), var: str = "x"):
         poly_domain(var)
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        nums, den = _over_common_denominator([_as_fraction(c) for c in coeffs])
+        self._nums, self._den = _lowest(_stripped(nums), den)
         self._var = var
 
     @classmethod
-    def _new(cls, coeffs: Iterable[Fraction], var: str) -> "Poly":
-        """Unchecked constructor for arithmetic results: ``coeffs`` are
-        Fractions without trailing zeros and ``var`` is a valid name."""
+    def _new(cls, nums: Sequence[int], den: int, var: str) -> "Poly":
+        """Unchecked constructor for arithmetic results: int ``nums`` over
+        the int ``den > 0``, and ``var`` a valid name.  Strips trailing
+        zeros and reduces to lowest terms."""
         self = object.__new__(cls)
-        self._coeffs = tuple(coeffs)
+        self._nums, self._den = _lowest(_stripped(nums), den)
         self._var = var
         return self
 
@@ -186,9 +226,13 @@ class Poly:
     def indeterminate(cls, var: str = "x") -> "Poly":
         return cls((0, 1), var)
 
+    def _numerators(self) -> tuple[tuple[int, ...], int]:
+        """The int numerators, ascending, and their common denominator."""
+        return self._nums, self._den
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple([Fraction(c, self._den) for c in self._nums])
 
     @property
     def var(self) -> str:
@@ -196,24 +240,24 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     @property
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        return len(self._nums) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self.text()} is not a constant")
-        return self._coeffs[0] if self._coeffs else Fraction(0)
+        return self.coefficient(0)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self._nums):
+            return Fraction(self._nums[k], self._den)
         return Fraction(0)
 
     def _merged_var(self, other: "Poly") -> str:
@@ -228,25 +272,28 @@ class Poly:
         return self._var
 
     def __add__(self, other: object) -> "Poly":
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = Poly._new((Fraction(other),), self._var)
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            var = self._merged_var(other)
+            b, other_den = other._nums, other._den
+        elif isinstance(other, int) and not isinstance(other, bool):
+            var, b, other_den = self._var, (other,), 1
+        else:
             return NotImplemented
-        var = self._merged_var(other)
-        a, b = self._coeffs, other._coeffs
+        a, den = self._nums, self._den
+        if other_den != den:
+            a, b = [c * other_den for c in a], [c * den for c in b]
+            den *= other_den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        while out and out[-1] == 0:
-            out.pop()
-        return Poly._new(out, var)
+        return Poly._new(out, den, var)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._new([-c for c in self._coeffs], self._var)
+        return Poly._new([-c for c in self._nums], self._den, self._var)
 
     def __sub__(self, other: object) -> "Poly":
         if isinstance(other, Poly):
@@ -260,33 +307,34 @@ class Poly:
 
     def __mul__(self, other: object) -> "Poly":
         if isinstance(other, int) and not isinstance(other, bool):
-            if other == 0:
-                return Poly._new((), self._var)
-            return Poly._new([c * other for c in self._coeffs], self._var)
+            return Poly._new([c * other for c in self._nums], self._den, self._var)
         if not isinstance(other, Poly):
             return NotImplemented
         var = self._merged_var(other)
-        if self.is_zero or other.is_zero:
-            return Poly._new((), var)
-        a, b = self._coeffs, other._coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        a, b = self._nums, other._nums
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return Poly._new(out, var)
+        return Poly._new(out, self._den * other._den, var)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        return _power(self, n, Poly._new((Fraction(1),), self._var))
+        return _power(self, n, Poly._new((1,), 1, self._var))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            if self._coeffs != other._coeffs:
+            if self._nums != other._nums or self._den != other._den:
                 return False
-            return len(self._coeffs) <= 1 or self._var == other._var
+            return len(self._nums) <= 1 or self._var == other._var
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.is_constant and self.constant_value() == other
+            # lowest terms on both sides: compare numerator and denominator
+            return (
+                self.is_constant
+                and other.numerator == (self._nums[0] if self._nums else 0)
+                and other.denominator == self._den
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -294,14 +342,14 @@ class Poly:
         # hash(x) == hash(y) across domains.
         if self.is_constant:
             return hash(self.constant_value())
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def text(self) -> str:
         """Canonical ascending rendering, e.g. ``1 + 2*x - x^3``."""
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             mag = abs(c)
@@ -322,7 +370,7 @@ class Poly:
             return "0"
         parts: list[str] = []
         for k in range(self.degree, -1, -1):
-            c = self._coeffs[k] if k < len(self._coeffs) else Fraction(0)
+            c = self.coefficient(k)
             if c == 0:
                 continue
             mag = abs(c)
@@ -348,37 +396,44 @@ class Quad:
     """Element a + b*sqrt(d) of a quadratic extension of the rationals.
 
     ``d`` must be a squarefree integer other than 0 and 1 (negative values
-    are allowed).  Componentwise equality; values with zero radical part
-    also compare equal to the matching rational.  Arithmetic accepts
-    ``int`` on either side; everything else needs explicit promotion, and
-    two different radicands never mix.
+    are allowed).  Stored as ints ``(p, q, den)`` meaning
+    (p + q*sqrt(d))/den, with ``den > 0`` and no factor common to p, q
+    and den, so equal values have identical components; ``a`` and ``b``
+    build their Fractions when read.  Componentwise equality; values with
+    zero radical part also compare equal to the matching rational.
+    Arithmetic accepts ``int`` on either side; everything else needs
+    explicit promotion, and two different radicands never mix.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_p", "_q", "_den", "_d")
 
     def __init__(self, a: int | Fraction, b: int | Fraction, d: int):
         quad_domain(d)
-        self._a = _as_fraction(a)
-        self._b = _as_fraction(b)
+        nums, den = _over_common_denominator([_as_fraction(a), _as_fraction(b)])
+        (self._p, self._q), self._den = _lowest(nums, den)
         self._d = d
 
     @classmethod
-    def _new(cls, a: Fraction, b: Fraction, d: int) -> "Quad":
-        """Unchecked constructor for arithmetic results: ``a`` and ``b``
-        are Fractions and ``d`` is a valid radicand."""
+    def _new(cls, p: int, q: int, den: int, d: int) -> "Quad":
+        """Unchecked constructor for arithmetic results: (p + q*sqrt(d))/den
+        from ints with ``den > 0`` and ``d`` a valid radicand.  Reduces to
+        lowest terms."""
         self = object.__new__(cls)
-        self._a = a
-        self._b = b
+        (self._p, self._q), self._den = _lowest((p, q), den)
         self._d = d
         return self
 
+    def _numerators(self) -> tuple[tuple[int, int], int]:
+        """The int numerators ``(p, q)`` and their common denominator."""
+        return (self._p, self._q), self._den
+
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._p, self._den)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._q, self._den)
 
     @property
     def d(self) -> int:
@@ -386,105 +441,126 @@ class Quad:
 
     @property
     def is_rational(self) -> bool:
-        return self._b == 0
+        return self._q == 0
 
     def rational_value(self) -> Fraction:
-        if self._b != 0:
+        if self._q != 0:
             raise ValueError(f"{self.text()} has a nonzero radical part")
-        return self._a
+        return self.a
 
     def conjugate(self) -> "Quad":
-        return Quad._new(self._a, -self._b, self._d)
+        return Quad._new(self._p, -self._q, self._den, self._d)
+
+    def _norm_numerator(self) -> int:
+        return self._p * self._p - self._d * self._q * self._q
 
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2; zero only for the zero element."""
-        return self._a * self._a - self._d * self._b * self._b
+        return Fraction(self._norm_numerator(), self._den * self._den)
 
     def inverse(self) -> "Quad":
-        if self._a == 0 and self._b == 0:
+        if self._p == 0 and self._q == 0:
             raise DivisionByZero("cannot invert zero")
-        n = self.norm()
-        return Quad._new(self._a / n, -self._b / n, self._d)
+        # den/(p + q*sqrt(d)) = den*(p - q*sqrt(d))/n; keep the new
+        # denominator |n| positive by moving the sign of n upstairs
+        n = self._norm_numerator()
+        s = self._den if n > 0 else -self._den
+        return Quad._new(s * self._p, -s * self._q, abs(n), self._d)
 
-    def _coerced(self, other: object) -> "Quad | None":
+    def _parts(self, other: object) -> tuple[int, int, int] | None:
+        """``(p, q, den)`` of an int or a same-field Quad, else None."""
         if isinstance(other, int) and not isinstance(other, bool):
-            return Quad._new(Fraction(other), Fraction(0), self._d)
+            return other, 0, 1
         if isinstance(other, Quad):
             if other._d != self._d:
                 raise DomainMismatch(
                     f"cannot mix sqrt({self._d}) and sqrt({other._d}) values"
                 )
-            return other
+            return other._p, other._q, other._den
         return None
 
+    def _plus(self, p: int, q: int, den: int) -> "Quad":
+        return Quad._new(
+            self._p * den + p * self._den,
+            self._q * den + q * self._den,
+            self._den * den,
+            self._d,
+        )
+
     def __add__(self, other: object) -> "Quad":
-        o = self._coerced(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return Quad._new(self._a + o._a, self._b + o._b, self._d)
+        return self._plus(*o)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Quad":
-        return Quad._new(-self._a, -self._b, self._d)
+        return Quad._new(-self._p, -self._q, self._den, self._d)
 
     def __sub__(self, other: object) -> "Quad":
-        o = self._coerced(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return Quad._new(self._a - o._a, self._b - o._b, self._d)
+        p, q, den = o
+        return self._plus(-p, -q, den)
 
     def __rsub__(self, other: object) -> "Quad":
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return Quad._new(o._a - self._a, o._b - self._b, self._d)
+        return (-self).__add__(other)
 
     def __mul__(self, other: object) -> "Quad":
-        o = self._coerced(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
+        p, q, den = o
         return Quad._new(
-            self._a * o._a + self._d * self._b * o._b,
-            self._a * o._b + self._b * o._a,
+            self._p * p + self._d * self._q * q,
+            self._p * q + self._q * p,
+            self._den * den,
             self._d,
         )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Quad":
-        return _power(self, n, Quad._new(Fraction(1), Fraction(0), self._d))
+        return _power(self, n, Quad._new(1, 0, 1, self._d))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Quad):
-            if self._d == other._d:
-                return self._a == other._a and self._b == other._b
-            return self._b == 0 == other._b and self._a == other._a
+            if (self._p, self._q, self._den) != (other._p, other._q, other._den):
+                return False
+            return self._d == other._d or self._q == 0
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self._b == 0 and self._a == other
+            # lowest terms on both sides: compare numerator and denominator
+            return (
+                self._q == 0
+                and other.numerator == self._p
+                and other.denominator == self._den
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, self._d))
+        if self._q == 0:
+            return hash(self.a)
+        return hash((self._p, self._q, self._den, self._d))
 
     def text(self) -> str:
-        if self._b == 0:
-            return str(self._a)
-        mag = abs(self._b)
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        mag = abs(b)
         radical = f"sqrt({self._d})" if mag == 1 else f"{mag}*sqrt({self._d})"
-        sign = "-" if self._b < 0 else ""
-        if self._a == 0:
+        sign = "-" if b < 0 else ""
+        if a == 0:
             return f"{sign}{radical}"
-        joiner = " - " if self._b < 0 else " + "
-        return f"{self._a}{joiner}{radical}"
+        joiner = " - " if b < 0 else " + "
+        return f"{a}{joiner}{radical}"
 
     def __str__(self) -> str:
         return self.text()
 
     def __repr__(self) -> str:
-        return f"Quad({self._a}, {self._b}, d={self._d})"
+        return f"Quad({self.a}, {self.b}, d={self._d})"
 
 
 Scalar = Union[int, Fraction, Poly, Quad]
@@ -562,7 +638,7 @@ def unify(
     for dv in doms:
         dom = dv if dom is None else join_domains(dom, dv)
     return dom, tuple(
-        v if dv == dom else promote(v, dom) for v, dv in zip(vals, doms)
+        [v if dv == dom else promote(v, dom) for v, dv in zip(vals, doms)]
     )
 
 

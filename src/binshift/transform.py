@@ -21,10 +21,12 @@ n is q^n * b_n.  A full prefix costs O(N^2) operations, and on integers
 each product has the small factor p or q.
 When the shift is rational (an int, a Fraction, a Quad with zero radical
 part or a constant Poly) the prefix is lowered to integer columns over
-one common denominator D: a rational prefix is one column, a quad(d)
-prefix an a column and a b column, a poly(x) prefix one column per
-coefficient index.  Each column runs through the table on native ints,
-which yields D * q^n * b_n, and each output is divided once.  An
+one common denominator D, read directly from the integer numerators and
+denominators the values store: a rational prefix is one column, a quad(d)
+prefix a rational-part column and a radical-part column, a poly(x) prefix
+one column per coefficient index.  Each column runs through the table on
+native ints, which yields D * q^n * b_n, and each output is built from its
+integer numerators over D * q^n, reduced once.  An
 irrational Quad shift or a non-constant Poly shift runs the same table
 on the scalars themselves, with q = 1.  Shift 0 is the identity and
 returns the promoted prefix without running the table.
@@ -204,33 +206,26 @@ def _lowered_transform(vals: tuple, target: Domain, p: int, q: int) -> list:
     """Transform rat, quad(d) or poly(x) values at shift p/q through
     integer columns over one common denominator."""
     if target.kind == "rat":
-        columns = [vals]
-    elif target.kind == "quad":
-        columns = [[v.a for v in vals], [v.b for v in vals]]
+        den = math.lcm(*(v.denominator for v in vals))
+        columns = [[v.numerator * (den // v.denominator) for v in vals]]
     else:
-        width = max(len(v.coeffs) for v in vals)
-        columns = [[v.coefficient(j) for v in vals] for j in range(width)]
-    den = math.lcm(*(x.denominator for col in columns for x in col))
-    results = []
-    for col in columns:
-        scaled = [x.numerator * (den // x.denominator) for x in col]
-        d_n = den
-        divided = []
-        for t in _difference_table(scaled, p, q):
-            divided.append(Fraction(t, d_n))
-            d_n *= q
-        results.append(divided)
+        parts = [v._numerators() for v in vals]
+        den = math.lcm(*(d for _, d in parts))
+        # one column at least, so an all-zero poly prefix still yields rows
+        width = max(1, *(len(nums) for nums, _ in parts))
+        columns = [
+            [nums[j] * (den // d) if j < len(nums) else 0 for nums, d in parts]
+            for j in range(width)
+        ]
+    outs = [_difference_table(col, p, q) for col in columns]
+    dens = [den]
+    for _ in range(len(vals) - 1):
+        dens.append(dens[-1] * q)
     if target.kind == "rat":
-        return results[0]
+        return [Fraction(t, d_n) for t, d_n in zip(outs[0], dens)]
     if target.kind == "quad":
-        return [Quad._new(x, y, target.d) for x, y in zip(*results)]
-    out = []
-    for n in range(len(vals)):
-        cs = [col[n] for col in results]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        out.append(Poly._new(cs, target.var))
-    return out
+        return [Quad._new(x, y, d_n, target.d) for x, y, d_n in zip(*outs, dens)]
+    return [Poly._new(row, d_n, target.var) for row, d_n in zip(zip(*outs), dens)]
 
 
 def compose_transforms(

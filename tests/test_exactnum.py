@@ -1,5 +1,6 @@
 """Exact scalar domains: arithmetic, promotion, rendering, parsing."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -62,6 +63,13 @@ class TestSquarefree:
     def test_negative_radicand_allowed(self):
         i = Quad(0, 1, -1)
         assert i * i == -1
+
+    def test_matches_the_definition(self):
+        # no k >= 2 with k^2 dividing n; 0 is divisible by every square
+        for n in [*range(-5000, 5001), 999983, 4 * 999983, 999983**2]:
+            roots = range(2, math.isqrt(abs(n)) + 1)
+            expected = n != 0 and all(n % (k * k) for k in roots)
+            assert is_squarefree.__wrapped__(n) is expected, n
 
     def test_large_radicand_checked_once(self):
         d = 999999999989  # prime near 10^12: one check is ~10^6 divisions
@@ -193,6 +201,16 @@ class TestQuad:
         with pytest.raises(ValueError):
             PHI**-1
 
+    def test_inverse_of_negative_norm(self):
+        # the stored denominator stays positive when the norm is negative
+        for x in (PHI, Quad(0, 1, 3), Quad(1, 2, 2), Quad(Fraction(-3, 4), 1, 7)):
+            assert x.norm() < 0
+            inv = _canonical(x.inverse())
+            assert x * inv == 1
+            assert repr(inv) == repr(Quad(inv.a, inv.b, inv.d))
+        assert Quad(0, 1, 3).inverse() == Quad(0, Fraction(1, 3), 3)
+        assert PHI.inverse() == Quad(Fraction(-1, 2), Fraction(1, 2), 5)
+
     def test_divide_by_zero(self):
         with pytest.raises(DivisionByZero):
             Quad(0, 0, 5).inverse()
@@ -201,6 +219,47 @@ class TestQuad:
         assert Quad(Fraction(1, 2), Fraction(1, 2), 5).text() == "1/2 + 1/2*sqrt(5)"
         assert Quad(0, -1, 2).text() == "-sqrt(2)"
         assert Quad(3, 0, 5).text() == "3"
+
+
+class TestArithmeticBuildsNoFraction:
+    """Quad and Poly arithmetic runs on int numerators over one
+    denominator: it constructs no Fraction."""
+
+    @pytest.fixture
+    def fractions_built(self, monkeypatch):
+        calls = [0]
+        original = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            calls[0] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        return calls
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda q, r, p, s: q * r,
+            lambda q, r, p, s: q + r,
+            lambda q, r, p, s: q**5,
+            lambda q, r, p, s: p * s,
+            lambda q, r, p, s: p + s,
+            lambda q, r, p, s: p * 7,
+        ],
+        ids=["quad*quad", "quad+quad", "quad**5", "poly*poly", "poly+poly", "poly*int"],
+    )
+    def test_zero_fractions(self, fractions_built, op):
+        q = Quad(Fraction(1, 2), Fraction(-3, 4), 5)
+        r = Quad(Fraction(5, 6), Fraction(1, 3), 5)
+        p = Poly((Fraction(1, 2), 3, Fraction(-2, 7)), "x")
+        s = Poly((Fraction(-1, 3), Fraction(5, 4)), "x")
+        fractions_built[0] = 0
+        result = op(q, r, p, s)
+        assert fractions_built[0] == 0
+        # the counter sees Fractions when they are built
+        _ = result.a if isinstance(result, Quad) else result.coeffs
+        assert fractions_built[0] > 0
 
 
 class TestDomains:
@@ -336,6 +395,7 @@ def _canonical(v):
     what the public constructor would build from its components."""
     if isinstance(v, Poly):
         rebuilt = Poly(v.coeffs, v.var)
+        assert rebuilt == v
         assert rebuilt.coeffs == v.coeffs and rebuilt.var == v.var
         assert all(type(c) is Fraction for c in v.coeffs)
         assert not v.coeffs or v.coeffs[-1] != 0
