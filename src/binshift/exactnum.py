@@ -30,7 +30,14 @@ their components are ints computed from validated operands, and their
 radicand or indeterminate name comes from a validated operand.  ``_new``
 is the one place that brings a result into lowest terms.  :func:`unify` is
 the one place that joins the domains of a collection of values and
-promotes each into the result.
+promotes each into the result; containers built from values already
+computed in one joined domain skip it through their unchecked ``_of``.
+
+For a rational shift p/q the views and the transform lower a sequence of
+rat, quad or poly values to native-int columns over one common
+denominator with ``_int_columns`` and, once the int loop has run, build
+every result back with ``_from_int_columns`` over ``D * q**j``.
+``_rational_parts`` reads p and q off a rational-valued scalar.
 """
 
 from __future__ import annotations
@@ -640,6 +647,59 @@ def unify(
     return dom, tuple(
         [v if dv == dom else promote(v, dom) for v, dv in zip(vals, doms)]
     )
+
+
+def _rational_parts(x: Scalar) -> tuple[int, int] | None:
+    """``(p, q)`` with x == p/q and q > 0 for an int, a Fraction, a Quad
+    with zero radical part or a constant Poly; None for an irrational
+    Quad or a non-constant Poly.  Builds no Fraction."""
+    if isinstance(x, Quad):
+        return None if x._q else (x._p, x._den)
+    if isinstance(x, Poly):
+        if len(x._nums) > 1:
+            return None
+        return (x._nums[0] if x._nums else 0), x._den
+    return x.numerator, x.denominator
+
+
+def _int_columns(
+    values: Sequence[Scalar], dom: Domain
+) -> tuple[list[list[int]], int]:
+    """Lower non-empty rat, quad(d) or poly(x) ``values`` to int columns
+    over one common denominator D; returns the columns and D.
+
+    A rat sequence is one column, a quad(d) sequence a rational-part and
+    a radical-part column, a poly(x) sequence one column per coefficient
+    index (at least one, so all-zero polynomials still yield rows).
+    :func:`_from_int_columns` builds scalars back from such columns.
+    """
+    if dom.kind == "rat":
+        den = math.lcm(*[v.denominator for v in values])
+        return [[v.numerator * (den // v.denominator) for v in values]], den
+    parts = [v._numerators() for v in values]
+    den = math.lcm(*[d for _, d in parts])
+    width = max(1, *[len(nums) for nums, _ in parts])
+    columns = [
+        [nums[j] * (den // d) if j < len(nums) else 0 for nums, d in parts]
+        for j in range(width)
+    ]
+    return columns, den
+
+
+def _from_int_columns(
+    columns: Sequence[Sequence[int]], den: int, q: int, dom: Domain
+) -> list:
+    """The ``dom`` scalars, one per index j, whose int numerators are the
+    entries j of ``columns`` (laid out as :func:`_int_columns` makes them)
+    over ``den * q**j``; each is brought into lowest terms once."""
+    dens = [den]
+    for _ in range(len(columns[0]) - 1):
+        dens.append(dens[-1] * q)
+    if dom.kind == "rat":
+        return [Fraction(t, d_n) for t, d_n in zip(columns[0], dens)]
+    if dom.kind == "quad":
+        return [Quad._new(x, y, d_n, dom.d) for x, y, d_n in zip(*columns, dens)]
+    return [Poly._new(row, d_n, dom.var) for row, d_n in zip(zip(*columns), dens)]
 
 
 def zero(dom: Domain) -> Scalar:

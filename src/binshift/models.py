@@ -71,7 +71,7 @@ class BinetForm:
         if dom.kind not in ("rat", "quad"):
             raise DomainMismatch(f"closed forms need a field domain, got {dom}")
         self._domain = dom
-        self._terms = tuple(zip(flat[::2], flat[1::2]))
+        self._terms = tuple([*zip(flat[::2], flat[1::2])])
         roots = [rho for _, rho in self._terms]
         for i, x in enumerate(roots):
             for y in roots[i + 1 :]:
@@ -140,7 +140,7 @@ class MatrixModel:
             raise ValueError(f"u and v must have length {dim}")
         self._domain, flat = unify([*(x for row in rows for x in row), *u, *v])
         square = dim * dim
-        self._matrix = tuple(flat[i : i + dim] for i in range(0, square, dim))
+        self._matrix = tuple([flat[i : i + dim] for i in range(0, square, dim)])
         self._u = flat[square : square + dim]
         self._v = flat[square + dim :]
 
@@ -182,8 +182,8 @@ def companion_matrix(p: CharPoly) -> tuple[tuple[Scalar, ...], ...]:
     zero_s, one_s = zero(dom), one(dom)
     rows = []
     for i in range(d - 1):
-        rows.append(tuple(one_s if j == i + 1 else zero_s for j in range(d)))
-    rows.append(tuple(-p.coefficient_of_power(j) for j in range(d)))
+        rows.append(tuple([one_s if j == i + 1 else zero_s for j in range(d)]))
+    rows.append(tuple([-p.coefficient_of_power(j) for j in range(d)]))
     return tuple(rows)
 
 
@@ -196,7 +196,7 @@ def model_from_recurrence(rec: Recurrence) -> MatrixModel:
     """
     m = companion_matrix(rec.poly)
     dom = rec.domain
-    u = tuple(one(dom) if j == 0 else zero(dom) for j in range(rec.degree))
+    u = tuple([one(dom) if j == 0 else zero(dom) for j in range(rec.degree)])
     return MatrixModel(m, u, rec.init)
 
 
@@ -220,10 +220,10 @@ def matrix_transform_eval(model: MatrixModel, r: Scalar, n: int) -> Scalar:
         model = MatrixModel(model.matrix, model.u, unify(model.v, target)[1])
     rp = promote(r, target)
     zero_s = zero(target)
-    shifted = tuple(
-        tuple(x + rp if i == j else x for j, x in enumerate(row))
+    shifted = [
+        [x + rp if i == j else x for j, x in enumerate(row)]
         for i, row in enumerate(model.matrix)
-    )
+    ]
     w = model.v
     for _ in range(n):
         w = _mat_vec(shifted, w, zero_s)

@@ -9,18 +9,26 @@ forward shift operator S (so (P(S) a)_n = sum_j p_{d-j} a_{n+j}).  A
 sequence satisfies the recurrence exactly when P(S) annihilates it.
 
 The central fact implemented here: if P(S) annihilates a, then the
-shift-r binomial transform of a is annihilated by P(X - r).  The shifted
-polynomial is computed coefficient by coefficient with
+shift-r binomial transform of a is annihilated by P(X - r).  The shift
+preserves monicity, is additive in r, and undoes with -r.  In particular
+P(X) = X^2 - p X + q shifts to X^2 - (p + 2r) X + (r^2 + p r + q).
 
-    q_j = sum_{k=0}^{j} p_k * C(d-k, j-k) * (-r)^(j-k)
+P(X - r) is a Taylor shift, computed by Ruffini-Horner (von zur Gathen
+and Gerhard, ISSAC 1997): d passes of synthetic division by X + r, each
+the recurrence t_j <- t_j - r * t_{j-1}, d(d+1)/2 multiply-adds with no
+binomial coefficient and no power of r.  For a rational shift r = p/q,
+coefficient j is lowered to int columns over one common denominator D
+and scaled by q^j; the passes then run on native ints with p, and
+coefficient j is built once over D * q^j.  The lowering is the
+``exactnum`` helper pair shared with ``transform`` and ``series``.
 
-which preserves monicity, is additive in r, and undoes with -r.  In
-particular P(X) = X^2 - p X + q shifts to X^2 - (p + 2r) X + (r^2 + p r + q).
+Results of arithmetic on values of one joined domain are built by the
+unchecked ``_of`` constructors, which skip the per-value join of
+``unify``; the public constructors keep it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from .errors import NonInvertibleDomain, NonMonic, PrefixTooShort
@@ -29,6 +37,9 @@ from .exactnum import (
     Poly,
     Quad,
     Scalar,
+    _from_int_columns,
+    _int_columns,
+    _rational_parts,
     domain_of,
     join_domains,
     one,
@@ -69,6 +80,16 @@ class CharPoly:
         self._domain, self._coeffs = unify(vals, domain)
         if self._coeffs[0] == zero(self._domain):
             raise ValueError("leading coefficient must be nonzero")
+
+    @classmethod
+    def _of(cls, coeffs: list | tuple, domain: Domain) -> "CharPoly":
+        """Unchecked constructor for computed results: at least two
+        coefficients, the leading one nonzero, all already in ``domain``.
+        Skips the per-value join of :func:`unify`; never pass a
+        generator, so the tuple is allocated at its exact size."""
+        self = object.__new__(cls)
+        self._domain, self._coeffs = domain, tuple(coeffs)
+        return self
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
@@ -166,7 +187,7 @@ def monic_normalized(p: CharPoly) -> CharPoly:
             f"cannot normalize over {p.domain}; promote to a field domain first"
         )
     inv = scalar_inv(p.leading)
-    return CharPoly([inv * c for c in p.coeffs], p.domain)
+    return CharPoly._of([inv * c for c in p.coeffs], p.domain)
 
 
 class Recurrence:
@@ -236,7 +257,7 @@ def unroll(rec: Recurrence, n_max: int) -> SequencePrefix:
         for k in range(1, d + 1):
             acc = acc - p[k] * vals[n - k]
         vals.append(acc)
-    return SequencePrefix(vals, rec.domain)
+    return SequencePrefix._of(vals, rec.domain)
 
 
 def apply_char_operator(p: CharPoly, a: PrefixLike) -> SequencePrefix:
@@ -261,15 +282,21 @@ def apply_char_operator(p: CharPoly, a: PrefixLike) -> SequencePrefix:
         for j in range(d + 1):
             acc = acc + coeffs[d - j] * vals[n + j]
         out.append(acc)
-    return SequencePrefix(out, target)
+    return SequencePrefix._of(out, target)
 
 
 def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:
     """The polynomial P(X - r) annihilating the shift-r transform.
 
-    Computed coefficient-wise:
+    Ruffini-Horner Taylor shift on the descending coefficients: pass m
+    (m = d down to 1) is synthetic division by X + r,
 
-        q_j = sum_{k=0}^{j} p_k * C(d-k, j-k) * (-r)^(j-k)
+        t_j <- t_j - r * t_{j-1}    for j = 1..m,
+
+    after which t_m is final, so d(d+1)/2 multiply-adds in all.  At a
+    rational shift r = p/q the passes run with p on int columns whose entry
+    j is scaled by q^j, and coefficient j is built over D * q^j (D the
+    common denominator of the coefficients).
 
     The input must be monic; the output is then monic of the same degree,
     and shifting is additive in r with shift by -r as inverse.
@@ -280,20 +307,27 @@ def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:
             f"{render_scalar(p.leading)}"
         )
     target = join_domains(p.domain, domain_of(r))
-    neg_r = -promote(r, target)
+    rp = promote(r, target)
     coeffs = p.promoted(target).coeffs
-    d = p.degree
-    zero_s = zero(target)
-    neg_pow = [one(target)]
-    for _ in range(d):
-        neg_pow.append(neg_pow[-1] * neg_r)
-    q = []
-    for j in range(d + 1):
-        acc = zero_s
-        for k in range(j + 1):
-            acc = acc + math.comb(d - k, j - k) * (coeffs[k] * neg_pow[j - k])
-        q.append(acc)
-    return CharPoly(q, target)
+    ratio = _rational_parts(rp)
+    if ratio is None or target.kind == "int":
+        return CharPoly._of(_taylor_shift(list(coeffs), rp), target)
+    num, den = ratio
+    columns, common = _int_columns(coeffs, target)
+    outs = [
+        _taylor_shift([c * den**j for j, c in enumerate(col)], num)
+        for col in columns
+    ]
+    return CharPoly._of(_from_int_columns(outs, common, den, target), target)
+
+
+def _taylor_shift(t: list, r) -> list:
+    """Descending coefficients of P(X - r), from those of P in ``t``
+    (overwritten): d passes of t_j <- t_j - r * t_{j-1}."""
+    for m in range(len(t) - 1, 0, -1):
+        for j in range(1, m + 1):
+            t[j] = t[j] - r * t[j - 1]
+    return t
 
 
 def transform_recurrence(rec: Recurrence, r: Scalar) -> Recurrence:
@@ -305,7 +339,7 @@ def transform_recurrence(rec: Recurrence, r: Scalar) -> Recurrence:
     """
     d = rec.degree
     shifted = shift_characteristic(rec.poly, r)
-    base = SequencePrefix(rec.init, rec.domain)
+    base = SequencePrefix._of(rec.init, rec.domain)
     new_init = apply_transform(base, r, d - 1)
     return Recurrence(shifted, new_init.values)
 
@@ -331,7 +365,7 @@ def intertwine_residual(a: PrefixLike, r: Scalar) -> SequencePrefix:
     b = apply_transform(a, r)
     target = b.domain
     rp = promote(r, target)
-    tail = SequencePrefix(a.values[1:], a.domain)
+    tail = SequencePrefix._of(a.values[1:], a.domain)
     tb = apply_transform(tail, r)
     out = [b[n + 1] - rp * b[n] - tb[n] for n in range(len(a) - 1)]
-    return SequencePrefix(out, target)
+    return SequencePrefix._of(out, target)

@@ -18,7 +18,13 @@ be checked against the direct sequence operator.  The OGF and Riordan
 views never multiply out powers of u = z/(1 - r z): dividing a truncated
 series by 1 - r z is the recurrence w_j = x_j + r * w_{j-1}, so the OGF
 substitution (Horner in u) costs O(N^2) scalar operations and one Riordan
-entry (n, k) costs O(k * (n - k)).
+entry (n, k) costs O(k * (n - k)).  The EGF view is a binomial-row
+convolution of its own, on native-int columns at a rational shift (the
+``exactnum`` lowering shared with ``transform`` and ``recurrence``).
+
+Results computed in an already-joined domain are built by the unchecked
+``TruncSeries._of`` and ``SequencePrefix._of``; the public constructors
+keep the per-value join of ``unify``.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from .errors import KindMismatch, OrderMismatch
 from .exactnum import (
     Domain,
     Scalar,
+    _from_int_columns,
+    _int_columns,
+    _rational_parts,
     domain_of,
     join_domains,
     one,
@@ -57,6 +66,11 @@ OGF = "ogf"
 EGF = "egf"
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in (OGF, EGF):
+        raise ValueError(f"kind must be {OGF!r} or {EGF!r}, got {kind!r}")
+
+
 class TruncSeries:
     """Coefficients c_0..c_N of a truncated generating series.
 
@@ -73,12 +87,21 @@ class TruncSeries:
         coeffs: Iterable[Scalar],
         domain: Domain | None = None,
     ):
-        if kind not in (OGF, EGF):
-            raise ValueError(f"kind must be {OGF!r} or {EGF!r}, got {kind!r}")
+        _check_kind(kind)
         self._kind = kind
         self._domain, self._coeffs = unify(coeffs, domain)
         if not self._coeffs:
             raise ValueError("a series needs at least the order-0 coefficient")
+
+    @classmethod
+    def _of(cls, kind: str, coeffs: list | tuple, domain: Domain) -> "TruncSeries":
+        """Unchecked constructor for computed results: a valid ``kind`` and
+        a non-empty list (or tuple) of coefficients all already in
+        ``domain``.  Skips the per-value join of :func:`unify`; never pass
+        a generator, so the tuple is allocated at its exact size."""
+        self = object.__new__(cls)
+        self._kind, self._coeffs, self._domain = kind, tuple(coeffs), domain
+        return self
 
     @property
     def kind(self) -> str:
@@ -161,13 +184,14 @@ class TruncSeries:
 
 def series_from_prefix(a: PrefixLike, kind: str = OGF) -> TruncSeries:
     """View a length-(N+1) prefix as a series truncated at order N."""
+    _check_kind(kind)
     a = as_prefix(a)
-    return TruncSeries(kind, a.values, a.domain)
+    return TruncSeries._of(kind, a.values, a.domain)
 
 
 def prefix_from_series(f: TruncSeries) -> SequencePrefix:
     """The coefficient prefix of a truncated series."""
-    return SequencePrefix(f.coeffs, f.domain)
+    return SequencePrefix._of(f.coeffs, f.domain)
 
 
 def _check_compatible(f: TruncSeries, g: TruncSeries) -> None:
@@ -209,7 +233,7 @@ def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
             for k in range(n + 1):
                 acc = acc + math.comb(n, k) * (xs[k] * ys[n - k])
             out.append(acc)
-    return TruncSeries(f.kind, out, target)
+    return TruncSeries._of(f.kind, out, target)
 
 
 def _over_geometric(xs: Sequence[Scalar], r: Scalar, order: int) -> list:
@@ -246,23 +270,53 @@ def series_compose_geometric(f: TruncSeries, r: Scalar) -> TruncSeries:
     acc = [coeffs[n_ord]]
     for k in range(n_ord - 1, -1, -1):
         acc = [coeffs[k]] + _over_geometric(acc, rp, n_ord - k - 1)
-    return TruncSeries(OGF, _over_geometric(acc, rp, n_ord), target)
+    return TruncSeries._of(OGF, _over_geometric(acc, rp, n_ord), target)
 
 
 def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
     """EGF action of the shift-r transform: multiply by exp(r t).
 
-    In stored a_n form the factor exp(r t) is the series of powers of r,
-    and the product is the binomial convolution of :func:`series_mul`.
+    In stored a_n form the product is the binomial convolution
+
+        b_n = sum_{k=0}^{n} C(n, k) r^(n-k) a_k,
+
+    with row n of binomials built by C(n, k+1) = C(n, k) (n-k)/(k+1):
+    N(N+1)/2 terms for order N, no call to ``math.comb`` and none to
+    :func:`series_mul`.  At a rational shift r = p/q the rows run with p on
+    int columns whose entry k is scaled by q^k, which gives
+    q^n b_n = sum_k C(n, k) p^(n-k) q^k a_k, and b_n is built over D * q^n
+    (D the common denominator of the coefficients).
     """
     if f.kind != EGF:
         raise KindMismatch("exponential multiplication acts on egf series")
     target = join_domains(f.domain, domain_of(r))
     rp = promote(r, target)
-    powers = [one(target)]
-    for _ in range(f.order):
-        powers.append(powers[-1] * rp)
-    return series_mul(f, TruncSeries(EGF, powers, target))
+    coeffs = f.promoted(target).coeffs
+    ratio = _rational_parts(rp)
+    if ratio is None or target.kind == "int":
+        return TruncSeries._of(EGF, _binomial_rows(coeffs, rp), target)
+    num, den = ratio
+    columns, common = _int_columns(coeffs, target)
+    outs = [
+        _binomial_rows([c * den**k for k, c in enumerate(col)], num) for col in columns
+    ]
+    return TruncSeries._of(EGF, _from_int_columns(outs, common, den, target), target)
+
+
+def _binomial_rows(a: Sequence, r) -> list:
+    """b_n = sum_k C(n, k) r^(n-k) a_k for n = 0..len(a)-1."""
+    powers = [r]  # powers[i] = r^(i+1)
+    for _ in range(len(a) - 2):
+        powers.append(powers[-1] * r)
+    out = []
+    for n in range(len(a)):
+        acc = a[n]  # the term k = n
+        c = 1  # C(n, k)
+        for k in range(n):
+            acc = acc + c * (powers[n - k - 1] * a[k])
+            c = c * (n - k) // (k + 1)
+        out.append(acc)
+    return out
 
 
 def riordan_entry(r: Scalar, n: int, k: int) -> Scalar:

@@ -26,24 +26,30 @@ denominators the values store: a rational prefix is one column, a quad(d)
 prefix a rational-part column and a radical-part column, a poly(x) prefix
 one column per coefficient index.  Each column runs through the table on
 native ints, which yields D * q^n * b_n, and each output is built from its
-integer numerators over D * q^n, reduced once.  An
-irrational Quad shift or a non-constant Poly shift runs the same table
-on the scalars themselves, with q = 1.  Shift 0 is the identity and
-returns the promoted prefix without running the table.
+integer numerators over D * q^n, reduced once.  The lowering and the
+rebuild are the ``exactnum`` helper pair ``_int_columns`` and
+``_from_int_columns``, shared with the root shift and the EGF view of
+``recurrence`` and ``series``.  An irrational Quad shift or a non-constant
+Poly shift runs the same table on the scalars themselves, with q = 1.
+Shift 0 is the identity and returns the promoted prefix without running
+the table.
+
+Results are built by the unchecked ``SequencePrefix._of``: their values
+were computed in the already-joined domain, so the per-value join of
+``unify`` that the public constructor runs is skipped.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .errors import PrefixTooShort
 from .exactnum import (
     Domain,
-    Poly,
-    Quad,
     Scalar,
+    _from_int_columns,
+    _int_columns,
+    _rational_parts,
     domain_of,
     join_domains,
     promote,
@@ -76,6 +82,16 @@ class SequencePrefix:
         if not self._values:
             raise ValueError("a prefix needs at least the index-0 term")
 
+    @classmethod
+    def _of(cls, values: list | tuple, domain: Domain) -> "SequencePrefix":
+        """Unchecked constructor for computed results: a non-empty list (or
+        tuple) of values that are all already in ``domain``.  Skips the
+        per-value join of :func:`unify`; never pass a generator, so the
+        tuple is allocated at its exact size."""
+        self = object.__new__(cls)
+        self._domain, self._values = domain, tuple(values)
+        return self
+
     @property
     def domain(self) -> Domain:
         return self._domain
@@ -101,7 +117,7 @@ class SequencePrefix:
             raise PrefixTooShort(
                 f"prefix has {len(self._values)} terms, need {n_max + 1}"
             )
-        return SequencePrefix(self._values[: n_max + 1], self._domain)
+        return SequencePrefix._of(self._values[: n_max + 1], self._domain)
 
     def promoted(self, dom: Domain) -> "SequencePrefix":
         target = join_domains(self._domain, dom)
@@ -158,27 +174,14 @@ def apply_transform(
     rp = promote(r, target)
     vals = a.promoted(target).values[: n_max + 1]
     if rp == 0:  # the identity: no table, and no common denominator
-        return SequencePrefix(vals, target)
+        return SequencePrefix._of(vals, target)
     ratio = _rational_parts(rp)
     if ratio is None or target.kind == "int":
-        out = _difference_table(vals, rp, 1)
-    else:
-        out = _lowered_transform(vals, target, *ratio)
-    return SequencePrefix(out, target)
-
-
-def _rational_parts(x: Scalar) -> tuple[int, int] | None:
-    """(p, q) with x == p/q and q > 0, or None for an irrational Quad or
-    a non-constant Poly."""
-    if isinstance(x, Quad):
-        if not x.is_rational:
-            return None
-        x = x.a
-    elif isinstance(x, Poly):
-        if not x.is_constant:
-            return None
-        x = x.constant_value()
-    return x.numerator, x.denominator
+        return SequencePrefix._of(_difference_table(vals, rp, 1), target)
+    p, q = ratio
+    columns, den = _int_columns(vals, target)
+    outs = [_difference_table(col, p, q) for col in columns]
+    return SequencePrefix._of(_from_int_columns(outs, den, q, target), target)
 
 
 def _difference_table(column: Iterable, p, q) -> list:
@@ -200,32 +203,6 @@ def _difference_table(column: Iterable, p, q) -> list:
         t.pop()
         out.append(t[0])
     return out
-
-
-def _lowered_transform(vals: tuple, target: Domain, p: int, q: int) -> list:
-    """Transform rat, quad(d) or poly(x) values at shift p/q through
-    integer columns over one common denominator."""
-    if target.kind == "rat":
-        den = math.lcm(*(v.denominator for v in vals))
-        columns = [[v.numerator * (den // v.denominator) for v in vals]]
-    else:
-        parts = [v._numerators() for v in vals]
-        den = math.lcm(*(d for _, d in parts))
-        # one column at least, so an all-zero poly prefix still yields rows
-        width = max(1, *(len(nums) for nums, _ in parts))
-        columns = [
-            [nums[j] * (den // d) if j < len(nums) else 0 for nums, d in parts]
-            for j in range(width)
-        ]
-    outs = [_difference_table(col, p, q) for col in columns]
-    dens = [den]
-    for _ in range(len(vals) - 1):
-        dens.append(dens[-1] * q)
-    if target.kind == "rat":
-        return [Fraction(t, d_n) for t, d_n in zip(outs[0], dens)]
-    if target.kind == "quad":
-        return [Quad._new(x, y, d_n, target.d) for x, y, d_n in zip(*outs, dens)]
-    return [Poly._new(row, d_n, target.var) for row, d_n in zip(zip(*outs), dens)]
 
 
 def compose_transforms(

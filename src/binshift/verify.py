@@ -157,7 +157,7 @@ def _prop_linearity(rng, cases, depth):
         )
         lhs = apply_transform(mixed, r).values
         tx, ty = apply_transform(xs, r), apply_transform(ys, r)
-        rhs = tuple(alpha * x + beta * y for x, y in zip(tx, ty))
+        rhs = tuple([alpha * x + beta * y for x, y in zip(tx, ty)])
         yield {"r": r, "alpha": alpha, "beta": beta}, lhs == rhs
 
 

@@ -1,0 +1,78 @@
+"""Hypothesis strategies and a comparison helper shared by the
+differential tests: sequences over every scalar domain, shifts that join
+with them, and a check that two results agree scalar for scalar."""
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from binshift.exactnum import RAT, Poly, Quad, poly_domain, render_scalar
+from binshift.transform import SequencePrefix
+
+RADICANDS = (5, -3, 999983)
+
+fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+
+
+@st.composite
+def prefixes_st(draw, min_size=1):
+    """A prefix over int, rat, quad(d) for each d in RADICANDS, or poly(x)."""
+    kind = draw(st.sampled_from(("int", "rat", "quad", "poly")))
+    size = draw(st.integers(min_value=min_size, max_value=9))
+    if kind == "int":
+        ints = st.integers(min_value=-50, max_value=50)
+        return SequencePrefix(draw(st.lists(ints, min_size=size, max_size=size)))
+    if kind == "rat":
+        return SequencePrefix(
+            draw(st.lists(fractions_st, min_size=size, max_size=size)), RAT
+        )
+    if kind == "quad":
+        d = draw(st.sampled_from(RADICANDS))
+        pairs = st.tuples(fractions_st, fractions_st)
+        return SequencePrefix(
+            [Quad(a, b, d) for a, b in draw(st.lists(pairs, min_size=size, max_size=size))]
+        )
+    coeffs = st.lists(fractions_st, max_size=4)
+    return SequencePrefix(
+        [Poly(cs, "x") for cs in draw(st.lists(coeffs, min_size=size, max_size=size))],
+        poly_domain("x"),
+    )
+
+
+@st.composite
+def shifts_st(draw, dom):
+    """An int or Fraction shift, or a Quad (b zero or not) or Poly
+    (constant or not) shift that joins with ``dom``."""
+    kinds = ["int", "rat"]
+    if dom.kind != "poly":
+        kinds.append("quad")
+    if dom.kind != "quad":
+        kinds.append("poly")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return draw(st.integers(min_value=-4, max_value=4))
+    if kind == "rat":
+        return draw(fractions_st)
+    if kind == "quad":
+        d = dom.d if dom.kind == "quad" else draw(st.sampled_from(RADICANDS))
+        b = draw(st.one_of(st.just(Fraction(0)), fractions_st))
+        return Quad(draw(fractions_st), b, d)
+    return Poly(draw(st.lists(fractions_st, max_size=3)), "x")
+
+
+def components(v):
+    if isinstance(v, Quad):
+        return [v.a, v.b]
+    if isinstance(v, Poly):
+        return list(v.coeffs)
+    return [v]
+
+
+def assert_same_scalars(got, want):
+    """Equal length, and per position the same type, component types and
+    canonical text."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) is type(y)
+        assert [type(c) for c in components(x)] == [type(c) for c in components(y)]
+        assert render_scalar(x) == render_scalar(y)

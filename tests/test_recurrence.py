@@ -1,9 +1,10 @@
 """Characteristic polynomials, root shifts, and transformed recurrences."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binshift.errors import (
@@ -12,7 +13,16 @@ from binshift.errors import (
     NonMonic,
     PrefixTooShort,
 )
-from binshift.exactnum import INT, RAT, Poly, promote
+from binshift.exactnum import (
+    RAT,
+    Poly,
+    Quad,
+    domain_of,
+    join_domains,
+    one,
+    promote,
+    zero,
+)
 from binshift.recurrence import (
     CharPoly,
     Recurrence,
@@ -25,6 +35,9 @@ from binshift.recurrence import (
     unroll,
 )
 from binshift.transform import SequencePrefix, apply_transform
+from binshift.verify import _naive_substitution_shift
+
+from exact_strategies import assert_same_scalars, prefixes_st, shifts_st
 
 FIB_POLY = CharPoly((1, -1, -1))
 MERSENNE_POLY = CharPoly((1, -3, 2))
@@ -271,3 +284,89 @@ class TestIntertwineResidual:
     @given(st.lists(fractions_st, min_size=2, max_size=10), fractions_st)
     def test_always_zero(self, values, r):
         assert all(v == 0 for v in intertwine_residual(values, r))
+
+
+def comb_formula_shift(p, r):
+    """P(X - r) by the coefficient formula the Taylor shift replaced,
+    q_j = sum_k p_k C(d-k, j-k) (-r)^(j-k) (test oracle)."""
+    target = join_domains(p.domain, domain_of(r))
+    neg_r = -promote(r, target)
+    coeffs = p.promoted(target).coeffs
+    d = p.degree
+    neg_pow = [one(target)]
+    for _ in range(d):
+        neg_pow.append(neg_pow[-1] * neg_r)
+    q = []
+    for j in range(d + 1):
+        acc = zero(target)
+        for k in range(j + 1):
+            acc = acc + math.comb(d - k, j - k) * (coeffs[k] * neg_pow[j - k])
+        q.append(acc)
+    return CharPoly(q, target)
+
+
+@st.composite
+def monic_and_shift_st(draw):
+    """A monic polynomial over int, rat, quad(5), quad(-3), quad(999983)
+    or poly(x), and an int, Fraction, Quad (rational or not) or Poly
+    (constant or not) shift that joins with it."""
+    tail = draw(prefixes_st())
+    p = CharPoly([one(tail.domain), *tail.values], tail.domain)
+    return p, draw(shifts_st(p.domain))
+
+
+X = Poly.indeterminate("x")
+SQRT5 = Quad(0, 1, 5)
+
+
+class TestTaylorShiftDifferential:
+    """The Ruffini-Horner shift, on int columns at a rational shift and on
+    the scalars otherwise, gives scalar for scalar what the coefficient
+    formula and the substitution by polynomial multiplication give."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(monic_and_shift_st())
+    # r = 0 in several domains
+    @example((CharPoly((1, Fraction(1, 2), 3)), 0))
+    @example((CharPoly((1, SQRT5, 2)), Fraction(0)))
+    @example((CharPoly((1, X, 2)), Poly((), "x")))
+    # degree 1
+    @example((CharPoly((1, Fraction(-2, 3))), Fraction(5, 7)))
+    @example((CharPoly((1, SQRT5)), Quad(1, 1, 5)))
+    # columns that cancel to zero: (X - 1/2)^2 -> X^2, and a radical part
+    # and polynomial columns that vanish
+    @example((CharPoly((1, -1, Fraction(1, 4))), Fraction(-1, 2)))
+    @example((CharPoly((1, Quad(-2, -2, 5), Quad(6, 2, 5))), Quad(1, 1, 5)))
+    @example((CharPoly((1, -2 * X, X * X)), X))
+    @example((CharPoly((1, Quad(0, 2, -3), Quad(-3, 0, -3))), Quad(0, -1, -3)))
+    def test_matches_formula_and_substitution(self, case):
+        p, r = case
+        got = shift_characteristic(p, r)
+        for want in (comb_formula_shift(p, r), _naive_substitution_shift(p, r)):
+            assert got == want
+            assert got.domain == want.domain
+            assert_same_scalars(got.coeffs, want.coeffs)
+
+
+class TestShiftBuildsFewFractions:
+    """At a rational shift the Taylor shift runs on int columns: a degree-d
+    rational polynomial costs at most d + 3 Fractions, the d + 1 results
+    among them."""
+
+    def test_degree_12(self, monkeypatch):
+        d = 12
+        p = CharPoly([1, *[Fraction((-1) ** k * (k + 2), k + 3) for k in range(d)]])
+        r = Fraction(-5, 7)
+        want = comb_formula_shift(p, r)
+        built = [0]
+        original = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        got = shift_characteristic(p, r)
+        monkeypatch.undo()
+        assert built[0] <= d + 3
+        assert got == want

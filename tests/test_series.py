@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binshift.errors import KindMismatch, OrderMismatch
@@ -17,7 +17,6 @@ from binshift.exactnum import (
     one,
     poly_domain,
     promote,
-    render_scalar,
     zero,
 )
 from binshift.series import (
@@ -33,6 +32,8 @@ from binshift.series import (
     series_mul,
 )
 from binshift.transform import SequencePrefix, apply_transform
+
+from exact_strategies import assert_same_scalars, prefixes_st, shifts_st
 
 FIB = (0, 1, 1, 2, 3, 5, 8, 13, 21, 34)
 LUCAS = (2, 1, 3, 4, 7, 11, 18, 29, 47, 76)
@@ -263,13 +264,6 @@ def double_sum(values, r):
     ]
 
 
-def assert_same_scalars(got, want):
-    assert len(got) == len(want)
-    for x, y in zip(got, want):
-        assert type(x) is type(y)
-        assert render_scalar(x) == render_scalar(y)
-
-
 SERIES_DOMAINS = ("int", "rat", "quad5", "quad999983", "polyx")
 
 
@@ -380,3 +374,80 @@ class TestViewsGrowQuadratically:
             self._count(poly_news, lambda: riordan_entry(r, 12, 6))
         )
         assert ratio < 5
+
+
+def egf_by_series_mul(f, r):
+    """exp(r t) * f by series_mul with the series of powers of r, the
+    route the binomial-row convolution replaced (test oracle)."""
+    target = join_domains(f.domain, domain_of(r))
+    rp = promote(r, target)
+    powers = [one(target)]
+    for _ in range(f.order):
+        powers.append(powers[-1] * rp)
+    return series_mul(f, TruncSeries(EGF, powers, target))
+
+
+@st.composite
+def egf_and_shift_st(draw):
+    """An EGF series over int, rat, quad(5), quad(-3), quad(999983) or
+    poly(x), and an int, Fraction, Quad (rational or not) or Poly
+    (constant or not) shift that joins with it."""
+    f = series_from_prefix(draw(prefixes_st()), EGF)
+    return f, draw(shifts_st(f.domain))
+
+
+X = Poly.indeterminate("x")
+
+
+class TestEgfDifferential:
+    """The binomial-row convolution, on int columns at a rational shift
+    and on the scalars otherwise, gives scalar for scalar what series_mul
+    with the powers of r and the double sum give."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(egf_and_shift_st())
+    # r = 0
+    @example((TruncSeries(EGF, (Quad(1, 2, 5), Quad(0, 1, 5))), 0))
+    @example((TruncSeries(EGF, (Fraction(1, 3), 2)), Fraction(0)))
+    # order 0
+    @example((TruncSeries(EGF, (Fraction(-4, 9),)), Fraction(3, 2)))
+    @example((TruncSeries(EGF, (X,)), Poly((1, 1), "x")))
+    # columns that cancel to zero: a_k = (-1/2)^k at r = 1/2, a radical
+    # part and polynomial columns that vanish
+    @example((TruncSeries(EGF, (1, Fraction(-1, 2), Fraction(1, 4))), Fraction(1, 2)))
+    @example((TruncSeries(EGF, (Quad(0, 1, 5), Quad(0, -1, 5))), 1))
+    @example((TruncSeries(EGF, (X, -X, X)), 1))
+    @example((TruncSeries(EGF, (Quad(1, 1, -3), Quad(-3, -1, -3))), Quad(0, -1, -3)))
+    def test_matches_series_mul_and_double_sum(self, case):
+        f, r = case
+        got = egf_transform(f, r)
+        want = egf_by_series_mul(f, r)
+        assert got.kind == EGF
+        assert got.domain == want.domain
+        assert_same_scalars(got.coeffs, want.coeffs)
+        rp = promote(r, got.domain)
+        assert list(got.coeffs) == double_sum(f.promoted(got.domain).coeffs, rp)
+
+
+class TestEgfBuildsFewFractions:
+    """At a rational shift the convolution runs on int columns: an order-N
+    rational EGF costs at most N + 3 Fractions, the N + 1 results among
+    them."""
+
+    def test_order_16(self, monkeypatch):
+        n = 16
+        f = TruncSeries(EGF, [Fraction(k - 7, k % 5 + 2) for k in range(n + 1)])
+        r = Fraction(-5, 7)
+        want = egf_by_series_mul(f, r)
+        built = [0]
+        original = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        got = egf_transform(f, r)
+        monkeypatch.undo()
+        assert built[0] <= n + 3
+        assert got == want

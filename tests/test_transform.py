@@ -32,6 +32,8 @@ from binshift.transform import (
     iterated_binomial,
 )
 
+from exact_strategies import assert_same_scalars, fractions_st, prefixes_st, shifts_st
+
 FIB = (0, 1, 1, 2, 3, 5, 8, 13, 21, 34)
 LUCAS = (2, 1, 3, 4, 7, 11, 18, 29, 47, 76)
 
@@ -44,7 +46,6 @@ def comb_oracle(values, r):
     )
 
 
-fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 prefix_values_st = st.lists(fractions_st, min_size=1, max_size=9)
 
 
@@ -160,54 +161,7 @@ class TestApplyTransform:
         assert lhs == tuple(alpha * x + beta * y for x, y in zip(tx, ty))
 
 
-RADICANDS = (5, -3, 999983)
 X = Poly.indeterminate("x")
-
-
-@st.composite
-def prefixes_st(draw):
-    """A prefix over int, rat, quad(d) for each d in RADICANDS, or poly(x)."""
-    kind = draw(st.sampled_from(("int", "rat", "quad", "poly")))
-    size = draw(st.integers(min_value=1, max_value=9))
-    if kind == "int":
-        ints = st.integers(min_value=-50, max_value=50)
-        return SequencePrefix(draw(st.lists(ints, min_size=size, max_size=size)))
-    if kind == "rat":
-        return SequencePrefix(
-            draw(st.lists(fractions_st, min_size=size, max_size=size)), RAT
-        )
-    if kind == "quad":
-        d = draw(st.sampled_from(RADICANDS))
-        pairs = st.tuples(fractions_st, fractions_st)
-        return SequencePrefix(
-            [Quad(a, b, d) for a, b in draw(st.lists(pairs, min_size=size, max_size=size))]
-        )
-    coeffs = st.lists(fractions_st, max_size=4)
-    return SequencePrefix(
-        [Poly(cs, "x") for cs in draw(st.lists(coeffs, min_size=size, max_size=size))],
-        exactnum.poly_domain("x"),
-    )
-
-
-@st.composite
-def shifts_st(draw, dom):
-    """An int or Fraction shift, or a Quad (b zero or not) or Poly
-    (constant or not) shift that joins with ``dom``."""
-    kinds = ["int", "rat"]
-    if dom.kind != "poly":
-        kinds.append("quad")
-    if dom.kind != "quad":
-        kinds.append("poly")
-    kind = draw(st.sampled_from(kinds))
-    if kind == "int":
-        return draw(st.integers(min_value=-4, max_value=4))
-    if kind == "rat":
-        return draw(fractions_st)
-    if kind == "quad":
-        d = dom.d if dom.kind == "quad" else draw(st.sampled_from(RADICANDS))
-        b = draw(st.one_of(st.just(Fraction(0)), fractions_st))
-        return Quad(draw(fractions_st), b, d)
-    return Poly(draw(st.lists(fractions_st, max_size=3)), "x")
 
 
 @st.composite
@@ -216,14 +170,6 @@ def transform_cases_st(draw):
     r = draw(shifts_st(prefix.domain))
     n_max = draw(st.integers(min_value=0, max_value=len(prefix) - 1))
     return prefix, r, n_max
-
-
-def _components(v):
-    if isinstance(v, Quad):
-        return [v.a, v.b]
-    if isinstance(v, Poly):
-        return list(v.coeffs)
-    return [v]
 
 
 class TestDifferentialKernel:
@@ -258,13 +204,8 @@ class TestDifferentialKernel:
         assert out.domain == target
         assert out.values == comb_oracle(vals, rp)
         generic = _difference_table(vals, rp, 1)
-        assert len(out) == len(generic) == n_max + 1
-        for got, want in zip(out.values, generic):
-            assert type(got) is type(want)
-            assert render_scalar(got) == render_scalar(want)
-            assert [type(c) for c in _components(got)] == [
-                type(c) for c in _components(want)
-            ]
+        assert len(out) == n_max + 1
+        assert_same_scalars(out.values, generic)
 
 
 class TestShiftZero:
