@@ -37,14 +37,13 @@ before computing when the bound is over Python's int-to-str limit
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import re
 import sys
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple, Sequence
 
 from .errors import BinshiftError
 from .exactnum import Poly, Quad, Scalar, render_scalar
@@ -217,14 +216,14 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
-class _Result(NamedTuple):
-    """One command's output: its JSON document and the views read from it."""
+class _Result(namedtuple("_Result", "doc lines header rows code", defaults=((), (), 0))):
+    """One command's output: its JSON document and the views read from it.
 
-    doc: dict
-    lines: list[str]
-    header: Sequence[str] = ()
-    rows: Sequence[Sequence] = ()
-    code: int = 0
+    ``lines`` is the plain view; ``header`` and ``rows`` the table that the
+    csv and oeis views read; ``code`` the exit status.
+    """
+
+    __slots__ = ()
 
 
 def _check_cap(what: str, value: int, cap: int) -> None:
@@ -434,8 +433,12 @@ def _cmd_family(args: argparse.Namespace) -> _Result:
 def _emit(fmt: str, result: _Result) -> None:
     """Print one result in one format; every format reads the same values."""
     if fmt == "json":
+        import json
+
         text = json.dumps(result.doc, indent=2) + "\n"
     elif fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([result.header, *result.rows])
         text = buf.getvalue()

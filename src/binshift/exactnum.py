@@ -45,9 +45,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
 from .errors import DivisionByZero, DomainMismatch, NonInvertibleDomain
 
@@ -154,17 +154,14 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(namedtuple("Domain", "kind d var", defaults=(None, None))):
     """Tag naming one of the four coefficient domains.
 
     ``d`` is the radicand of a quadratic field, ``var`` the indeterminate
     of a polynomial domain; both are ``None`` elsewhere.
     """
 
-    kind: str
-    d: int | None = None
-    var: str | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == "quad":
@@ -570,7 +567,7 @@ class Quad:
         return f"Quad({self.a}, {self.b}, d={self._d})"
 
 
-Scalar = Union[int, Fraction, Poly, Quad]
+Scalar = int | Fraction | Poly | Quad
 
 
 def indeterminate(var: str = "x") -> Poly:

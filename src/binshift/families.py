@@ -23,7 +23,7 @@ jacobsthal to (0, 1, 3, 9, ...), i.e. 3^(n-1) for n >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import UnknownFamily
@@ -55,15 +55,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "name oeis p q init")):
     """One registered family: a_n = p a_{n-1} - q a_{n-2} with initials."""
 
-    name: str
-    oeis: str | None
-    p: Scalar
-    q: Scalar
-    init: tuple[Scalar, Scalar]
+    __slots__ = ()
 
     @property
     def domain(self):
@@ -186,37 +181,22 @@ def family_binet_form(name: str) -> BinetForm:
     raise UnknownFamily(f"{name!r} has no closed form over the supported domains")
 
 
-@dataclass(frozen=True)
-class SegmentRow:
+class SegmentRow(namedtuple("SegmentRow", "family r values golden ok")):
     """One reference-table row: transform values vs the embedded constants."""
 
-    family: str
-    r: int
-    values: tuple[int, ...]
-    golden: tuple[int, ...]
-    ok: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RecurrenceRow:
+class RecurrenceRow(namedtuple("RecurrenceRow", "family b1 b2 init ok")):
     """Symbolic transformed recurrence of one family vs the embedded row."""
 
-    family: str
-    b1: Poly
-    b2: Poly
-    init: tuple[Scalar, Scalar]
-    ok: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(namedtuple("IdentityCheck", "identity n lhs rhs ok")):
     """One index of one shift-1 special identity."""
 
-    identity: str
-    n: int
-    lhs: int
-    rhs: int
-    ok: bool
+    __slots__ = ()
 
 
 def segment_row(name: str, r: Scalar, n_max: int = 9) -> SequencePrefix:

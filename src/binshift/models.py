@@ -15,7 +15,7 @@ the shift-r binomial transform:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     DomainMismatch,

@@ -29,7 +29,7 @@ unchecked ``_of`` constructors, which skip the per-value join of
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import NonInvertibleDomain, NonMonic, PrefixTooShort
 from .exactnum import (

@@ -30,8 +30,8 @@ keep the per-value join of ``unify``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import KindMismatch, OrderMismatch
 from .exactnum import (

@@ -41,7 +41,7 @@ were computed in the already-joined domain, so the per-value join of
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from collections.abc import Iterable, Iterator
 
 from .errors import PrefixTooShort
 from .exactnum import (
@@ -142,7 +142,7 @@ class SequencePrefix:
         return f"SequencePrefix([{shown}], domain={self._domain})"
 
 
-PrefixLike = Union[SequencePrefix, Iterable[Scalar]]
+PrefixLike = SequencePrefix | Iterable[Scalar]
 
 
 def as_prefix(values: PrefixLike, domain: Domain | None = None) -> SequencePrefix:

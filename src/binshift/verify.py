@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -88,22 +88,18 @@ from .transform import (
 __all__ = ["PropertyResult", "SuiteReport", "SUITE_NAMES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(
+    namedtuple("PropertyResult", "name cases ok failure", defaults=(None,))
+):
     """Outcome of one property: cases run and the first failure, if any."""
 
-    name: str
-    cases: int
-    ok: bool
-    failure: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    seed: int
-    requested_cases: int
-    properties: list[PropertyResult] = field(default_factory=list)
+class SuiteReport(namedtuple("SuiteReport", "suite seed requested_cases properties")):
+    """One suite run: seed, cases asked for and a list of PropertyResult."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -12,15 +12,25 @@ import binshift
 SRC = str(Path(binshift.__file__).resolve().parent.parent)
 
 
-def run_module(*argv):
+# Modules the CLI must not load: ``dataclasses`` pulls in ``inspect`` (and with
+# it ``ast``, ``dis`` and ``tokenize``); with ``typing`` they add about 30 ms to
+# every ``python -m binshift`` call.
+HEAVY = ("typing", "dataclasses", "inspect")
+
+
+def run_python(*args):
     env = dict(os.environ, PYTHONPATH=SRC)  # the package needs nothing beyond the stdlib
     return subprocess.run(
-        [sys.executable, "-m", "binshift", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def run_module(*argv):
+    return run_python("-m", "binshift", *argv)
 
 
 def test_family_listing_exits_0():
@@ -42,3 +52,23 @@ def test_input_errors_exit_2_without_traceback(argv):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_loads_no_heavy_modules():
+    code = f"import binshift.cli, sys; print([m for m in {HEAVY!r} if m in sys.modules])"
+    proc = run_python("-S", "-B", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_plain_family_call_imports_no_heavy_modules():
+    # json and csv are imported only by the format that prints them.
+    proc = run_python("-S", "-B", "-X", "importtime", "-m", "binshift", "family")
+    assert proc.returncode == 0 and proc.stdout.startswith("fibonacci ")
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "binshift.cli" in imported
+    assert imported.isdisjoint({*HEAVY, "json", "csv"})
