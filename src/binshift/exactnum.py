@@ -37,13 +37,16 @@ For a rational shift p/q the views and the transform lower a sequence of
 rat, quad or poly values to native-int columns over one common
 denominator with ``_int_columns`` and, once the int loop has run, build
 every result back with ``_from_int_columns`` over ``D * q**j``.
-``_rational_parts`` reads p and q off a rational-valued scalar.
+``_rational_parts`` reads p and q off a rational-valued scalar.  The root
+shift, the EGF and the OGF views share the whole dispatch through
+``_at_rational_shift``, which takes their kernel.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -101,8 +104,8 @@ def _lowest(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple([c // g for c in nums]), den // g
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Int numerators of ``values`` over the lcm of their denominators."""
+def _over_common_denominator(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """Int numerators of ints or Fractions over the lcm of their denominators."""
     den = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -115,19 +118,21 @@ def _stripped(nums: Sequence[int]) -> Sequence[int]:
     return nums[:end]
 
 
-def _power(base, n, unit):
-    """``base ** n`` by square-and-multiply, starting from ``unit``."""
+def _power(base, n, unit, mul=operator.mul):
+    """``base ** n`` by square-and-multiply with ``mul``, starting from
+    ``unit``; the last, largest square is never formed."""
     if not isinstance(n, int) or isinstance(n, bool):
         return NotImplemented
     if n < 0:
         raise ValueError("negative power; use scalar_inv to invert a field element")
     result = unit
-    while n:
+    while True:
         if n & 1:
-            result = result * base
-        base = base * base
+            result = mul(result, base)
         n >>= 1
-    return result
+        if not n:
+            return result
+        base = mul(base, base)
 
 
 @functools.lru_cache(maxsize=256)
@@ -527,7 +532,18 @@ class Quad:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Quad":
-        return _power(self, n, Quad._new(1, 0, 1, self._d))
+        """Square-and-multiply on the raw numerator pairs (p, q), then one
+        ``_new`` over ``den ** n``: a single reduction to lowest terms
+        instead of one per product."""
+        d = self._d
+
+        def mul(x, y):
+            return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        pair = _power((self._p, self._q), n, (1, 0), mul)
+        if pair is NotImplemented:
+            return pair
+        return Quad._new(*pair, self._den**n, d)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Quad):
@@ -697,6 +713,33 @@ def _from_int_columns(
     if dom.kind == "quad":
         return [Quad._new(x, y, d_n, dom.d) for x, y, d_n in zip(*columns, dens)]
     return [Poly._new(row, d_n, dom.var) for row, d_n in zip(zip(*columns), dens)]
+
+
+def _at_rational_shift(
+    kernel, values: Sequence[Scalar], r: Scalar, dom: Domain
+) -> list:
+    """``kernel(list(values), r)`` with a rational shift run on native ints.
+
+    ``kernel(t, r)`` returns a list as long as ``t`` whose entry j is a sum
+    of terms r^(j-k) * t_k times int coefficients (the EGF convolution,
+    the OGF substitution, the Taylor shift).  ``values`` are in ``dom``
+    and ``r`` joins with it.  For r = p/q outside the int domain, entry j
+    of every int column of ``values`` is scaled by q^j, so the kernel run
+    with p gives q^j times entry j, and every entry is built back over
+    D * q^j (D the common denominator of ``values``).  An irrational Quad
+    or a non-constant Poly shift is already in ``dom``, and in the int
+    domain everything is an int: there the kernel runs on the scalars.
+    """
+    ratio = _rational_parts(r)
+    if ratio is None or dom.kind == "int":
+        return kernel(list(values), r)
+    p, q = ratio
+    scale = [1]
+    for _ in range(len(values) - 1):
+        scale.append(scale[-1] * q)
+    columns, den = _int_columns(values, dom)
+    outs = [kernel([c * s for c, s in zip(col, scale)], p) for col in columns]
+    return _from_int_columns(outs, den, q, dom)
 
 
 def zero(dom: Domain) -> Scalar:

@@ -16,6 +16,7 @@ the shift-r binomial transform:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
 
 from .errors import (
     DomainMismatch,
@@ -28,6 +29,7 @@ from .exactnum import (
     RAT,
     Domain,
     Scalar,
+    _over_common_denominator,
     domain_of,
     join_domains,
     one,
@@ -109,8 +111,9 @@ def binet_eval(form: BinetForm, n: int) -> Scalar:
     """The value a_n = sum_j c_j rho_j^n."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    acc = zero(form.domain)
-    for c, rho in form.terms:
+    (c, rho), *rest = form.terms
+    acc = c * rho**n
+    for c, rho in rest:
         acc = acc + c * rho**n
     return acc
 
@@ -211,10 +214,19 @@ def _mat_vec(m: Sequence[Sequence[Scalar]], w: Sequence[Scalar], zero_s: Scalar)
 
 
 def matrix_transform_eval(model: MatrixModel, r: Scalar, n: int) -> Scalar:
-    """Value b_n = u^T (M + r I)^n v of the shift-r transform."""
+    """Value b_n = u^T (M + r I)^n v of the shift-r transform.
+
+    For an int or rat model and a rational r = p/q the power runs on
+    ints: with M = M'/E, u = u'/D_u and v = v'/D_v over common
+    denominators, b_n = u'^T (q M' + p E I)^n v' / (D_u D_v (q E)^n), and
+    one Fraction (an int for an int model and an int r) is built at the
+    end.  Quad and poly models multiply their scalars.
+    """
     if n < 0:
         raise ValueError("index must be nonnegative")
     target = join_domains(model.domain, domain_of(r))
+    if target.kind in ("int", "rat"):
+        return _rational_matrix_eval(model, r, n, target)
     if target != model.domain:
         # The constructor joins every entry, so a widened v widens the model.
         model = MatrixModel(model.matrix, model.u, unify(model.v, target)[1])
@@ -231,6 +243,27 @@ def matrix_transform_eval(model: MatrixModel, r: Scalar, n: int) -> Scalar:
     for x, y in zip(model.u, w):
         acc = acc + x * y
     return acc
+
+
+def _rational_matrix_eval(
+    model: MatrixModel, r: int | Fraction, n: int, target: Domain
+) -> int | Fraction:
+    """u^T (M + r I)^n v on ints, for an int or rat model and an int or
+    Fraction r joining into ``target``."""
+    dim = model.dim
+    flat, e = _over_common_denominator([x for row in model.matrix for x in row])
+    u, d_u = _over_common_denominator(model.u)
+    w, d_v = _over_common_denominator(model.v)
+    p, q = r.numerator, r.denominator
+    shifted = [[q * x for x in flat[i : i + dim]] for i in range(0, dim * dim, dim)]
+    for i, row in enumerate(shifted):
+        row[i] += p * e
+    for _ in range(n):
+        w = _mat_vec(shifted, w, 0)
+    total = sum([x * y for x, y in zip(u, w)])
+    if target.kind == "int":
+        return total
+    return Fraction(total, d_u * d_v * (q * e) ** n)
 
 
 def colored_count_bruteforce(a: PrefixLike, r: int, n: int) -> int:

@@ -37,9 +37,7 @@ from .exactnum import (
     Poly,
     Quad,
     Scalar,
-    _from_int_columns,
-    _int_columns,
-    _rational_parts,
+    _at_rational_shift,
     domain_of,
     join_domains,
     one,
@@ -296,7 +294,8 @@ def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:
     after which t_m is final, so d(d+1)/2 multiply-adds in all.  At a
     rational shift r = p/q the passes run with p on int columns whose entry
     j is scaled by q^j, and coefficient j is built over D * q^j (D the
-    common denominator of the coefficients).
+    common denominator of the coefficients), through
+    ``exactnum._at_rational_shift``.
 
     The input must be monic; the output is then monic of the same degree,
     and shifting is additive in r with shift by -r as inverse.
@@ -307,18 +306,8 @@ def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:
             f"{render_scalar(p.leading)}"
         )
     target = join_domains(p.domain, domain_of(r))
-    rp = promote(r, target)
     coeffs = p.promoted(target).coeffs
-    ratio = _rational_parts(rp)
-    if ratio is None or target.kind == "int":
-        return CharPoly._of(_taylor_shift(list(coeffs), rp), target)
-    num, den = ratio
-    columns, common = _int_columns(coeffs, target)
-    outs = [
-        _taylor_shift([c * den**j for j, c in enumerate(col)], num)
-        for col in columns
-    ]
-    return CharPoly._of(_from_int_columns(outs, common, den, target), target)
+    return CharPoly._of(_at_rational_shift(_taylor_shift, coeffs, r, target), target)
 
 
 def _taylor_shift(t: list, r) -> list:

@@ -17,10 +17,17 @@ all implemented by truncated series arithmetic of their own, so they can
 be checked against the direct sequence operator.  The OGF and Riordan
 views never multiply out powers of u = z/(1 - r z): dividing a truncated
 series by 1 - r z is the recurrence w_j = x_j + r * w_{j-1}, so the OGF
-substitution (Horner in u) costs O(N^2) scalar operations and one Riordan
-entry (n, k) costs O(k * (n - k)).  The EGF view is a binomial-row
-convolution of its own, on native-int columns at a rational shift (the
-``exactnum`` lowering shared with ``transform`` and ``recurrence``).
+substitution (Horner in u) costs O(N^2) operations and one Riordan entry
+(n, k) costs O(k * (n - k)).  The EGF view is a binomial-row convolution
+of its own.
+
+At a rational shift r = p/q none of the views does scalar arithmetic per
+term.  The OGF and EGF loops run with p on native-int columns through
+``exactnum._at_rational_shift``, the lowering the root shift in
+``recurrence`` shares, and each result coefficient is built once.  The
+Riordan entry divides by 1 - p z on ints and builds one scalar over
+q^(n-k).  An irrational Quad or a non-constant Poly shift runs the same
+loops on the scalars.
 
 Results computed in an already-joined domain are built by the unchecked
 ``TruncSeries._of`` and ``SequencePrefix._of``; the public constructors
@@ -37,8 +44,7 @@ from .errors import KindMismatch, OrderMismatch
 from .exactnum import (
     Domain,
     Scalar,
-    _from_int_columns,
-    _int_columns,
+    _at_rational_shift,
     _rational_parts,
     domain_of,
     join_domains,
@@ -257,20 +263,28 @@ def series_compose_geometric(f: TruncSeries, r: Scalar) -> TruncSeries:
     c_0, acc <- c_k + z * acc/(1 - r z), with each division by 1 - r z the
     recurrence of :func:`_over_geometric`.  u^k has valuation k, so only
     orders 0..N-k of acc reach the result; one last division applies
-    (1 - r z)^(-1).  O(N^2) scalar operations in all, on the promoted
-    coefficients; coefficient n of the result depends only on input
-    coefficients 0..n.
+    (1 - r z)^(-1).  O(N^2) operations in all; coefficient n of the result
+    depends only on input coefficients 0..n.  At a rational shift r = p/q
+    the loop runs with p on int columns whose entry k is scaled by q^k,
+    and coefficient n is built over D * q^n (D the common denominator of
+    the coefficients), through ``exactnum._at_rational_shift``.
     """
     if f.kind != OGF:
         raise KindMismatch("geometric substitution acts on ogf series")
     target = join_domains(f.domain, domain_of(r))
-    rp = promote(r, target)
     coeffs = f.promoted(target).coeffs
-    n_ord = f.order
-    acc = [coeffs[n_ord]]
+    out = _at_rational_shift(_horner_in_u, coeffs, r, target)
+    return TruncSeries._of(OGF, out, target)
+
+
+def _horner_in_u(c: list, r) -> list:
+    """Coefficients 0..N of (1 - r z)^(-1) * A(z / (1 - r z)) for the
+    coefficients c_0..c_N of A."""
+    n_ord = len(c) - 1
+    acc = [c[n_ord]]
     for k in range(n_ord - 1, -1, -1):
-        acc = [coeffs[k]] + _over_geometric(acc, rp, n_ord - k - 1)
-    return TruncSeries._of(OGF, _over_geometric(acc, rp, n_ord), target)
+        acc = [c[k]] + _over_geometric(acc, r, n_ord - k - 1)
+    return _over_geometric(acc, r, n_ord)
 
 
 def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
@@ -285,22 +299,15 @@ def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
     :func:`series_mul`.  At a rational shift r = p/q the rows run with p on
     int columns whose entry k is scaled by q^k, which gives
     q^n b_n = sum_k C(n, k) p^(n-k) q^k a_k, and b_n is built over D * q^n
-    (D the common denominator of the coefficients).
+    (D the common denominator of the coefficients), through
+    ``exactnum._at_rational_shift``.
     """
     if f.kind != EGF:
         raise KindMismatch("exponential multiplication acts on egf series")
     target = join_domains(f.domain, domain_of(r))
-    rp = promote(r, target)
     coeffs = f.promoted(target).coeffs
-    ratio = _rational_parts(rp)
-    if ratio is None or target.kind == "int":
-        return TruncSeries._of(EGF, _binomial_rows(coeffs, rp), target)
-    num, den = ratio
-    columns, common = _int_columns(coeffs, target)
-    outs = [
-        _binomial_rows([c * den**k for k, c in enumerate(col)], num) for col in columns
-    ]
-    return TruncSeries._of(EGF, _from_int_columns(outs, common, den, target), target)
+    out = _at_rational_shift(_binomial_rows, coeffs, r, target)
+    return TruncSeries._of(EGF, out, target)
 
 
 def _binomial_rows(a: Sequence, r) -> list:
@@ -326,16 +333,30 @@ def riordan_entry(r: Scalar, n: int, k: int) -> Scalar:
     coefficient of z^n in (1 - r z)^(-1) * (z (1 - r z)^(-1))^k.  The
     factor z^k only moves the coefficient read, so the entry is
     coefficient n - k of the column [1, 0, ...] divided k + 1 times by
-    1 - r z with :func:`_over_geometric`: O(k * (n - k)) scalar operations.
-    It equals C(n, k) * r^(n-k) and vanishes for k > n.
+    1 - r z with :func:`_over_geometric`: O(k * (n - k)) operations.  At a
+    rational shift r = p/q the divisions run by 1 - p z on ints, which
+    gives q^(n-k) times the entry, and the entry is built once over
+    q^(n-k) in the domain of r.  It equals C(n, k) * r^(n-k) and vanishes
+    for k > n.
     """
     if n < 0 or k < 0:
         raise ValueError("row and column must be nonnegative")
     dom = domain_of(r)
-    zero_s = zero(dom)
     if k > n:
-        return zero_s
-    column = [one(dom)] + [zero_s] * (n - k)
-    for _ in range(k + 1):
-        column = _over_geometric(column, r, n - k)
+        return zero(dom)
+    ratio = _rational_parts(r)
+    if ratio is None:
+        return _geometric_column(one(dom), zero(dom), r, n - k, k + 1)
+    p, q = ratio
+    entry = _geometric_column(1, 0, p, n - k, k + 1)
+    if dom.kind == "int":
+        return entry
+    return promote(Fraction(entry, q ** (n - k)), dom)
+
+
+def _geometric_column(one_s: Scalar, zero_s: Scalar, r, order: int, times: int):
+    """Coefficient ``order`` of 1 / (1 - r z)^times."""
+    column = [one_s] + [zero_s] * order
+    for _ in range(times):
+        column = _over_geometric(column, r, order)
     return column[-1]

@@ -5,9 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binshift import exactnum
 from binshift.errors import DivisionByZero, DomainMismatch, NonInvertibleDomain
 from binshift.exactnum import (
     INT,
@@ -262,6 +263,44 @@ class TestArithmeticBuildsNoFraction:
         assert fractions_built[0] > 0
 
 
+class TestQuadPowerReducesOnce:
+    """Quad powers multiply raw numerator pairs: ``Quad ** 20`` brings
+    one result into lowest terms, not one per product."""
+
+    def test_power_20(self, monkeypatch):
+        q = Quad(Fraction(1, 2), Fraction(-3, 4), 5)
+        calls = [0]
+        original = exactnum._lowest
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(exactnum, "_lowest", counted)
+        got = q**20
+        monkeypatch.undo()
+        assert calls[0] == 1
+        assert got == power_by_quad_products(q, 20)
+
+
+def power_by_quad_products(q, n):
+    """``q ** n`` by square-and-multiply over Quad products, each brought
+    into lowest terms, the route before raw numerator pairs (test
+    oracle)."""
+    result, base = Quad(1, 0, q.d), q
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+quad_radicands_st = st.builds(
+    Quad, fractions_st, fractions_st, st.sampled_from((5, -3, 999983))
+)
+
+
 class TestDomains:
     def test_domain_of(self):
         assert domain_of(3) == INT
@@ -457,6 +496,21 @@ class TestRingLaws:
         for _ in range(n):
             expected = expected * q
         assert _canonical(q**n) == expected
+
+    @settings(max_examples=200)
+    @given(quad_radicands_st, st.integers(min_value=0, max_value=24))
+    @example(PHI, 0)
+    @example(PHI, 1)
+    @example(PHI, 2)
+    @example(Quad(Fraction(-2, 3), Fraction(1, 6), 999983), 2)
+    @example(Quad(0, 0, -3), 0)
+    @example(Quad(0, 0, -3), 3)
+    def test_quad_pow_matches_quad_products(self, q, n):
+        got = q**n
+        want = power_by_quad_products(q, n)
+        assert got._numerators() == want._numerators()
+        assert got.d == want.d
+        assert _canonical(got) == want
 
     @given(fractions_st)
     def test_fraction_canonical_form(self, q):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binshift.errors import (
@@ -15,7 +15,16 @@ from binshift.errors import (
     NonMonic,
     PrefixTooShort,
 )
-from binshift.exactnum import Poly, Quad
+from binshift.exactnum import (
+    Poly,
+    Quad,
+    domain_of,
+    join_domains,
+    one,
+    promote,
+    unify,
+    zero,
+)
 from binshift.models import (
     ENUMERATION_LIMIT,
     BinetForm,
@@ -29,6 +38,8 @@ from binshift.models import (
 )
 from binshift.recurrence import CharPoly, Recurrence, unroll
 from binshift.transform import apply_transform
+
+from exact_strategies import assert_same_scalars, prefixes_st, shifts_st
 
 PHI = Quad(Fraction(1, 2), Fraction(1, 2), 5)
 PSI = PHI.conjugate()
@@ -239,3 +250,94 @@ class TestColoredCount:
         n = len(values) - 1
         transformed = apply_transform(values, r)
         assert colored_count_bruteforce(values, r, n) == transformed.values[n]
+
+
+# Scalar routes of binet_eval and matrix_transform_eval, as they ran for
+# every model and shift before the int path (test oracles).
+
+
+def binet_eval_from_zero(form, n):
+    acc = zero(form.domain)
+    for c, rho in form.terms:
+        acc = acc + c * rho**n
+    return acc
+
+
+def matrix_eval_on_scalars(model, r, n):
+    target = join_domains(model.domain, domain_of(r))
+    if target != model.domain:
+        model = MatrixModel(model.matrix, model.u, unify(model.v, target)[1])
+    rp = promote(r, target)
+    zero_s = zero(target)
+    shifted = [
+        [x + rp if i == j else x for j, x in enumerate(row)]
+        for i, row in enumerate(model.matrix)
+    ]
+    w = model.v
+    for _ in range(n):
+        out = []
+        for row in shifted:
+            acc = zero_s
+            for x, y in zip(row, w):
+                acc = acc + x * y
+            out.append(acc)
+        w = out
+    acc = zero_s
+    for x, y in zip(model.u, w):
+        acc = acc + x * y
+    return acc
+
+
+@st.composite
+def model_case_st(draw):
+    """A matrix model over int, rat, quad(5), quad(-3), quad(999983) or
+    poly(x), a shift of any kind that joins with it, and an index n.
+
+    The model is the companion matrix of X^d + a_0 X^(d-1) + ... + a_(d-1)
+    with v = a, and u is e_1 or a reversed."""
+    a = draw(prefixes_st())
+    dom = a.domain
+    poly = CharPoly([one(dom), *a.values], dom)
+    u = [one(dom) if j == 0 else zero(dom) for j in range(len(a))]
+    if draw(st.booleans()):
+        u = list(reversed(a.values))
+    model = MatrixModel(companion_matrix(poly), u, a.values)
+    return model, draw(shifts_st(dom)), draw(st.integers(0, 8))
+
+
+RAT_MODEL = MatrixModel(
+    [[Fraction(1, 2), Fraction(-2, 3)], [1, Fraction(3, 4)]],
+    [Fraction(1, 3), 2],
+    [Fraction(5, 7), -1],
+)
+
+
+class TestMatrixIntPathDifferential:
+    """The matrix view, on ints for an int or rat model at a rational
+    shift and on the scalars otherwise, gives scalar for scalar what its
+    scalar route gives."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(model_case_st())
+    # r = 0 and n = 0
+    @example((RAT_MODEL, 0, 5))
+    @example((RAT_MODEL, Fraction(-3, 5), 0))
+    @example((MatrixModel([[2]], [1], [1]), Fraction(0), 3))
+    # a rat model, an integral Fraction on an int model, a rational Quad
+    @example((RAT_MODEL, Fraction(-3, 5), 6))
+    @example((RAT_MODEL, 2, 4))
+    @example((MatrixModel([[1, 1], [1, 0]], [1, 0], [0, 1]), Fraction(2), 5))
+    @example((RAT_MODEL, Quad(Fraction(1, 2), 0, 5), 3))
+    def test_matches_scalar_route(self, case):
+        model, r, n = case
+        got = matrix_transform_eval(model, r, n)
+        want = matrix_eval_on_scalars(model, r, n)
+        assert_same_scalars([got], [want])
+        assert domain_of(got) == join_domains(model.domain, domain_of(r))
+
+    @pytest.mark.parametrize(
+        "form", [FIB_FORM, MERSENNE_FORM, BinetForm([(Fraction(2, 3), Fraction(-1, 2))])]
+    )
+    def test_binet_eval_from_first_term(self, form):
+        for n in range(6):
+            assert_same_scalars([binet_eval(form, n)], [binet_eval_from_zero(form, n)])

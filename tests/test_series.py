@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from binshift.errors import KindMismatch, OrderMismatch
 from binshift.exactnum import (
+    INT,
     RAT,
     Poly,
     Quad,
@@ -17,6 +18,7 @@ from binshift.exactnum import (
     one,
     poly_domain,
     promote,
+    quad_domain,
     zero,
 )
 from binshift.series import (
@@ -33,7 +35,7 @@ from binshift.series import (
 )
 from binshift.transform import SequencePrefix, apply_transform
 
-from exact_strategies import assert_same_scalars, prefixes_st, shifts_st
+from exact_strategies import RADICANDS, assert_same_scalars, prefixes_st, shifts_st
 
 FIB = (0, 1, 1, 2, 3, 5, 8, 13, 21, 34)
 LUCAS = (2, 1, 3, 4, 7, 11, 18, 29, 47, 76)
@@ -451,3 +453,103 @@ class TestEgfBuildsFewFractions:
         monkeypatch.undo()
         assert built[0] <= n + 3
         assert got == want
+
+
+# Scalar routes of the OGF and Riordan views, as they ran at every shift
+# before the rational-shift lowering (test oracles): the division by
+# 1 - r z on promoted scalars.
+
+
+def over_geometric_on_scalars(xs, r, order):
+    w = [xs[0]]
+    for j in range(1, order + 1):
+        w.append(xs[j] + r * w[-1])
+    return w
+
+
+def compose_on_scalars(f, r):
+    target = join_domains(f.domain, domain_of(r))
+    rp = promote(r, target)
+    coeffs = f.promoted(target).coeffs
+    n_ord = f.order
+    acc = [coeffs[n_ord]]
+    for k in range(n_ord - 1, -1, -1):
+        acc = [coeffs[k]] + over_geometric_on_scalars(acc, rp, n_ord - k - 1)
+    return TruncSeries(OGF, over_geometric_on_scalars(acc, rp, n_ord), target)
+
+
+def riordan_on_scalars(r, n, k):
+    dom = domain_of(r)
+    zero_s = zero(dom)
+    if k > n:
+        return zero_s
+    column = [one(dom)] + [zero_s] * (n - k)
+    for _ in range(k + 1):
+        column = over_geometric_on_scalars(column, r, n - k)
+    return column[-1]
+
+
+@st.composite
+def ogf_and_shift_st(draw):
+    """An OGF series over int, rat, quad(5), quad(-3), quad(999983) or
+    poly(x), and an int, Fraction, Quad (rational or not) or Poly
+    (constant or not) shift that joins with it."""
+    f = series_from_prefix(draw(prefixes_st()), OGF)
+    return f, draw(shifts_st(f.domain))
+
+
+@st.composite
+def riordan_case_st(draw):
+    """A shift of any kind and a position (n, k), k > n included."""
+    dom = draw(st.sampled_from([INT, RAT, *map(quad_domain, RADICANDS), poly_domain("x")]))
+    r = draw(shifts_st(dom))
+    return r, draw(st.integers(0, 9)), draw(st.integers(0, 10))
+
+
+class TestRationalShiftViewsDifferential:
+    """The OGF substitution and the Riordan entry, on ints at a rational
+    shift and on the scalars otherwise, give scalar for scalar what their
+    scalar routes and the closed forms give."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(ogf_and_shift_st())
+    # r = 0
+    @example((TruncSeries(OGF, (Quad(1, 2, 5), Quad(0, 1, 5))), 0))
+    @example((TruncSeries(OGF, (Fraction(1, 3), 2)), Fraction(0)))
+    # order 0
+    @example((TruncSeries(OGF, (Fraction(-4, 9),)), Fraction(3, 2)))
+    @example((TruncSeries(OGF, (X,)), Poly((1, 1), "x")))
+    # an integral Fraction, and columns that cancel to zero
+    @example((TruncSeries(OGF, (1, 2, 3)), Fraction(2)))
+    @example((TruncSeries(OGF, (1, Fraction(-1, 2), Fraction(1, 4))), Fraction(1, 2)))
+    @example((TruncSeries(OGF, (Quad(0, 1, -3), Quad(0, -1, -3))), 1))
+    @example((TruncSeries(OGF, (X, -X, X)), Fraction(1, 3)))
+    def test_compose_geometric(self, case):
+        f, r = case
+        got = series_compose_geometric(f, r)
+        want = compose_on_scalars(f, r)
+        assert got.kind == OGF
+        assert got.domain == want.domain
+        assert_same_scalars(got.coeffs, want.coeffs)
+        rp = promote(r, got.domain)
+        assert list(got.coeffs) == double_sum(f.promoted(got.domain).coeffs, rp)
+
+    @settings(max_examples=250, deadline=None)
+    @given(riordan_case_st())
+    # r = 0, n = 0, k > n
+    @example((0, 3, 1))
+    @example((Fraction(0), 4, 4))
+    @example((Fraction(1, 2), 0, 0))
+    @example((Fraction(-2, 3), 2, 5))
+    @example((Quad(Fraction(1, 2), 0, 999983), 3, 7))
+    # an integral Fraction, a rational Quad and a constant Poly
+    @example((Fraction(2), 6, 2))
+    @example((Quad(Fraction(-3, 4), 0, -3), 5, 1))
+    @example((Poly((Fraction(5, 2),), "x"), 4, 2))
+    def test_riordan_entry(self, case):
+        r, n, k = case
+        got = riordan_entry(r, n, k)
+        want = riordan_on_scalars(r, n, k)
+        assert_same_scalars([got], [want])
+        assert domain_of(got) == domain_of(r)
+        assert got == (math.comb(n, k) * r ** (n - k) if k <= n else 0)

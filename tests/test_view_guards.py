@@ -8,6 +8,8 @@
   ``apply_transform`` and ``_difference_table`` made to raise at every
   module binding, so verify's comparisons against the transform stay
   independent.
+* At a rational shift the OGF, Riordan and matrix views build their
+  Fractions only for the results, not per term.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binshift import transform
-from binshift.exactnum import Poly, Quad, one, promote, unify
+from binshift.exactnum import Poly, Quad, domain_of, join_domains, one, promote, unify
 from binshift.families import family_binet_form, family_prefix, family_recurrence
 from binshift.models import (
     BinetForm,
@@ -42,6 +44,7 @@ from binshift.recurrence import (
 )
 from binshift.series import (
     EGF,
+    OGF,
     TruncSeries,
     egf_transform,
     prefix_from_series,
@@ -140,41 +143,110 @@ def double_sum(values, r):
     ]
 
 
+SHIFTS = pytest.mark.parametrize(
+    "r",
+    [
+        2,
+        Fraction(-1, 3),
+        Fraction(5, 2),
+        Quad(Fraction(1, 2), 0, 5),
+        Quad(1, 1, 5),
+        Poly((1, 1), "x"),
+    ],
+    ids=["int", "rat", "rat-5/2", "quad-rational", "quad", "poly"],
+)
+
+
 class TestViewsDoNotCallTheKernel:
-    @pytest.mark.parametrize(
-        "r",
-        [2, Fraction(-1, 3), Quad(Fraction(1, 2), 0, 5), Quad(1, 1, 5), Poly((1, 1), "x")],
-        ids=["int", "rat", "quad-rational", "quad", "poly"],
-    )
+    @SHIFTS
     def test_views_without_transform(self, monkeypatch, r):
-        n_top = 10
-        base = family_prefix("fibonacci", n_top)
-        rec = family_recurrence("fibonacci")
-        form = family_binet_form("fibonacci")
-        values = [promote(v, rec.domain) for v in base]
-        expected = double_sum(values, r)
-        expected_poly = _naive_substitution_shift(rec.poly, r)
+        check_views_without_transform(monkeypatch, r, 1)
 
-        def raiser(*args, **kwargs):
-            raise AssertionError("a view called the transform kernel")
+    @SHIFTS
+    def test_views_without_transform_rational_base(self, monkeypatch, r):
+        check_views_without_transform(monkeypatch, r, Fraction(-2, 3))
 
-        bindings = _binshift_bindings(apply_transform, transform._difference_table)
-        assert len(bindings) >= 5
-        for mod, attr in bindings:
-            monkeypatch.setattr(mod, attr, raiser)
 
-        assert shift_characteristic(rec.poly, r) == expected_poly
-        egf = egf_transform(TruncSeries(EGF, values), r)
-        assert list(egf.coeffs) == expected
-        ogf = series_compose_geometric(series_from_prefix(values), r)
-        assert list(ogf.coeffs) == expected
-        for n in range(6):
-            for k in range(n + 1):
-                assert riordan_entry(r, n, k) == math.comb(n, k) * r ** (n - k)
-        model = model_from_recurrence(rec)
+def check_views_without_transform(monkeypatch, r, scale):
+    """The views of ``scale`` times the Fibonacci numbers at shift ``r``
+    match double sums with the transform kernel made to raise."""
+    n_top = 10
+    base = [scale * v for v in family_prefix("fibonacci", n_top)]
+    fib = family_recurrence("fibonacci")
+    rec = Recurrence(fib.poly, [scale * v for v in fib.init])
+    fib_form = family_binet_form("fibonacci")
+    weight = promote(scale, fib_form.domain)
+    form = BinetForm([(weight * c, rho) for c, rho in fib_form.terms])
+    values = [promote(v, rec.domain) for v in base]
+    target = join_domains(rec.domain, domain_of(r))
+    expected = double_sum([promote(v, target) for v in values], r)
+    expected_poly = _naive_substitution_shift(rec.poly, r)
+
+    def raiser(*args, **kwargs):
+        raise AssertionError("a view called the transform kernel")
+
+    bindings = _binshift_bindings(apply_transform, transform._difference_table)
+    assert len(bindings) >= 5
+    for mod, attr in bindings:
+        monkeypatch.setattr(mod, attr, raiser)
+
+    assert shift_characteristic(rec.poly, r) == expected_poly
+    egf = egf_transform(TruncSeries(EGF, values), r)
+    assert list(egf.coeffs) == expected
+    ogf = series_compose_geometric(series_from_prefix(values), r)
+    assert list(ogf.coeffs) == expected
+    for n in range(6):
+        for k in range(n + 1):
+            assert riordan_entry(r, n, k) == math.comb(n, k) * r ** (n - k)
+    model = model_from_recurrence(rec)
+    for n in range(n_top + 1):
+        assert matrix_transform_eval(model, r, n) == expected[n]
+    if not isinstance(r, Poly):
+        shifted = binet_shift(form, r)
         for n in range(n_top + 1):
-            assert matrix_transform_eval(model, r, n) == expected[n]
-        if not isinstance(r, Poly):
-            shifted = binet_shift(form, r)
-            for n in range(n_top + 1):
-                assert binet_eval(shifted, n) == expected[n]
+            assert binet_eval(shifted, n) == expected[n]
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """A one-element list counting every Fraction constructed."""
+    calls = [0]
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return calls
+
+
+class TestRationalShiftViewsBuildFewFractions:
+    """At a rational shift the OGF, Riordan and matrix views run on ints
+    and build their results once: the counts below include the results."""
+
+    def test_ogf_order_16(self, fractions_built):
+        n = 16
+        f = TruncSeries(OGF, [Fraction(k - 7, k % 5 + 2) for k in range(n + 1)])
+        r = Fraction(1, 2)
+        want = double_sum(f.coeffs, r)
+        fractions_built[0] = 0
+        got = series_compose_geometric(f, r)
+        assert fractions_built[0] <= n + 3
+        assert list(got.coeffs) == want
+
+    @pytest.mark.parametrize("n, k", [(12, 5), (20, 0), (9, 9)])
+    def test_riordan_entry(self, fractions_built, n, k):
+        r = Fraction(1, 2)
+        fractions_built[0] = 0
+        got = riordan_entry(r, n, k)
+        assert fractions_built[0] <= 2
+        assert got == Fraction(math.comb(n, k), 2 ** (n - k))
+
+    def test_int_companion_model(self, fractions_built):
+        model = model_from_recurrence(family_recurrence("fibonacci"))
+        r = Fraction(1, 2)
+        fractions_built[0] = 0
+        got = matrix_transform_eval(model, r, 15)
+        assert fractions_built[0] <= 2
+        assert got == double_sum(family_prefix("fibonacci", 15), r)[15]
