@@ -37,9 +37,9 @@ For a rational shift p/q the views and the transform lower a sequence of
 rat, quad or poly values to native-int columns over one common
 denominator with ``_int_columns`` and, once the int loop has run, build
 every result back with ``_from_int_columns`` over ``D * q**j``.
-``_rational_parts`` reads p and q off a rational-valued scalar.  The root
-shift, the EGF and the OGF views share the whole dispatch through
-``_at_rational_shift``, which takes their kernel.
+``_rational_parts`` reads p and q off a rational-valued scalar.  The
+transform, the root shift, the EGF and the OGF views share the whole
+dispatch through ``_at_rational_shift``, which takes their kernel.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .errors import DivisionByZero, DomainMismatch, NonInvertibleDomain
 
@@ -106,8 +107,9 @@ def _lowest(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
 
 def _over_common_denominator(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """Int numerators of ints or Fractions over the lcm of their denominators."""
-    den = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _stripped(nums: Sequence[int]) -> Sequence[int]:
@@ -687,8 +689,8 @@ def _int_columns(
     :func:`_from_int_columns` builds scalars back from such columns.
     """
     if dom.kind == "rat":
-        den = math.lcm(*[v.denominator for v in values])
-        return [[v.numerator * (den // v.denominator) for v in values]], den
+        nums, den = _over_common_denominator(values)
+        return [nums], den
     parts = [v._numerators() for v in values]
     den = math.lcm(*[d for _, d in parts])
     width = max(1, *[len(nums) for nums, _ in parts])
@@ -705,9 +707,7 @@ def _from_int_columns(
     """The ``dom`` scalars, one per index j, whose int numerators are the
     entries j of ``columns`` (laid out as :func:`_int_columns` makes them)
     over ``den * q**j``; each is brought into lowest terms once."""
-    dens = [den]
-    for _ in range(len(columns[0]) - 1):
-        dens.append(dens[-1] * q)
+    dens = list(accumulate(repeat(q, len(columns[0]) - 1), operator.mul, initial=den))
     if dom.kind == "rat":
         return [Fraction(t, d_n) for t, d_n in zip(columns[0], dens)]
     if dom.kind == "quad":
@@ -721,24 +721,26 @@ def _at_rational_shift(
     """``kernel(list(values), r)`` with a rational shift run on native ints.
 
     ``kernel(t, r)`` returns a list as long as ``t`` whose entry j is a sum
-    of terms r^(j-k) * t_k times int coefficients (the EGF convolution,
-    the OGF substitution, the Taylor shift).  ``values`` are in ``dom``
-    and ``r`` joins with it.  For r = p/q outside the int domain, entry j
-    of every int column of ``values`` is scaled by q^j, so the kernel run
-    with p gives q^j times entry j, and every entry is built back over
-    D * q^j (D the common denominator of ``values``).  An irrational Quad
-    or a non-constant Poly shift is already in ``dom``, and in the int
-    domain everything is an int: there the kernel runs on the scalars.
+    of terms r^(j-k) * t_k times int coefficients.  Its four callers are
+    the transform's table, the Taylor shift of the root shift, the EGF
+    convolution and the OGF substitution.  ``values`` are in ``dom`` and
+    ``r`` joins with it.  For r = p/q outside the int domain, entry j of
+    every int column of ``values`` is scaled by q^j (skipped when q is 1),
+    so the kernel run with p gives q^j times entry j, and every entry is
+    built back over D * q^j (D the common denominator of ``values``).  An
+    irrational Quad or a non-constant Poly shift is already in ``dom``,
+    and in the int domain everything is an int: there the kernel runs on
+    the scalars.
     """
     ratio = _rational_parts(r)
     if ratio is None or dom.kind == "int":
         return kernel(list(values), r)
     p, q = ratio
-    scale = [1]
-    for _ in range(len(values) - 1):
-        scale.append(scale[-1] * q)
     columns, den = _int_columns(values, dom)
-    outs = [kernel([c * s for c, s in zip(col, scale)], p) for col in columns]
+    if q != 1:
+        scale = list(accumulate(repeat(q, len(values) - 1), operator.mul, initial=1))
+        columns = [list(map(operator.mul, col, scale)) for col in columns]
+    outs = [kernel(col, p) for col in columns]
     return _from_int_columns(outs, den, q, dom)
 
 

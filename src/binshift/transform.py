@@ -10,29 +10,31 @@ r is shift -r, and the classical binomial transform iterated m times is
 the single transform with shift m.  Index n of the output depends only on
 inputs 0..n, so a prefix of length N+1 determines outputs 0..N exactly.
 
-Every transform runs one difference table, a Taylor-shift recurrence
-(von zur Gathen and Gerhard, ISSAC 1997).  With b_n = ((r + E)^n a)_0,
-where E shifts a sequence left, and r = p/q, the pass
+The kernel is a conjugation.  For r != 0 the definition gives
+b_n = r^n * sum_k C(n, k) * (r^(-k) a_k), that is T_r = D_r T_1 D_r^(-1)
+with D_r = diag(r^n), so every shift can run through the table of shift
+1, which needs additions only (the scaling of Shaw and Traub's Taylor
+shift, JACM 21, 1974).  On OGFs T_1 maps A(z) to (1 - z)^(-1) A(u) with
+u = z/(1 - z); Horner in u from the last coefficient down makes each
+step "put c in front, then divide by 1 - z", and dividing by 1 - z is a
+prefix sum: one ``itertools.accumulate`` per input term.
 
-    t_k <- p * t_k + q * t_{k+1}
-
-turns row n of the table into row n + 1, scaled by q, so t_0 after pass
-n is q^n * b_n.  A full prefix costs O(N^2) operations, and on integers
-each product has the small factor p or q.
-When the shift is rational (an int, a Fraction, a Quad with zero radical
-part or a constant Poly) the prefix is lowered to integer columns over
-one common denominator D, read directly from the integer numerators and
-denominators the values store: a rational prefix is one column, a quad(d)
-prefix a rational-part column and a radical-part column, a poly(x) prefix
-one column per coefficient index.  Each column runs through the table on
-native ints, which yields D * q^n * b_n, and each output is built from its
-integer numerators over D * q^n, reduced once.  The lowering and the
-rebuild are the ``exactnum`` helper pair ``_int_columns`` and
-``_from_int_columns``, shared with the root shift and the EGF view of
-``recurrence`` and ``series``.  An irrational Quad shift or a non-constant
-Poly shift runs the same table on the scalars themselves, with q = 1.
-Shift 0 is the identity and returns the promoted prefix without running
-the table.
+A rational shift r = p/q (an int, a Fraction, a Quad with zero radical
+part or a constant Poly) goes through ``exactnum._at_rational_shift``:
+the prefix is lowered to native-int columns over one common denominator
+(one column for rat, a rational-part and a radical-part column for
+quad(d), one column per coefficient index for poly(x)), entry k is
+scaled by q^k, and each output is rebuilt over D * q^n once.  On each
+int column :func:`_table` then scales entry k by p^(N-k), runs the unit
+table and divides output n exactly by p^(N-n).  Where the scaling does
+not pay it runs the multiply-add table :func:`_difference_table`,
+``t_k <- p*t_k + t_{k+1}`` (von zur Gathen and Gerhard, ISSAC 1997):
+below ``_UNIT_MIN_TERMS`` terms, where fixed costs dominate, and when
+N * bit_length(p)^2 is over ``_UNIT_MAX_N_BITS2``, where the long scaled
+entries and the exact divisions cost more than the multiply-adds save.
+An irrational Quad shift or a non-constant Poly shift runs
+:func:`_difference_table` on the scalars themselves.  Shift 0 is the
+identity and returns the promoted prefix without running a table.
 
 Results are built by the unchecked ``SequencePrefix._of``: their values
 were computed in the already-joined domain, so the per-value join of
@@ -41,15 +43,15 @@ were computed in the already-joined domain, so the per-value join of
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
+from itertools import accumulate, repeat
 
 from .errors import PrefixTooShort
 from .exactnum import (
     Domain,
     Scalar,
-    _from_int_columns,
-    _int_columns,
-    _rational_parts,
+    _at_rational_shift,
     domain_of,
     join_domains,
     promote,
@@ -175,31 +177,59 @@ def apply_transform(
     vals = a.promoted(target).values[: n_max + 1]
     if rp == 0:  # the identity: no table, and no common denominator
         return SequencePrefix._of(vals, target)
-    ratio = _rational_parts(rp)
-    if ratio is None or target.kind == "int":
-        return SequencePrefix._of(_difference_table(vals, rp, 1), target)
-    p, q = ratio
-    columns, den = _int_columns(vals, target)
-    outs = [_difference_table(col, p, q) for col in columns]
-    return SequencePrefix._of(_from_int_columns(outs, den, q, target), target)
+    return SequencePrefix._of(_at_rational_shift(_table, vals, rp, target), target)
 
 
-def _difference_table(column: Iterable, p, q) -> list:
-    """Outputs sum_k C(n, k) p^(n-k) q^k column_k for n = 0..len-1, that
-    is q^n times the transform of ``column`` at shift p/q.
+# Chosen from a grid of best-of timings against _difference_table on
+# columns of 64-bit ints (Python 3.11, 2-vCPU VM).  Below 26 terms the
+# fixed costs make the unit table up to 1.3x slower at |p| >= 2.  With
+# b = bit_length(p) its entries are N*b bits longer than the inputs
+# (about half that in the multiply-add table) and the divisions by
+# p^(N-n) grow as b^2 N^3: past N * b^2 = 2^14 it loses.
+_UNIT_MIN_TERMS = 26
+_UNIT_MAX_N_BITS2 = 1 << 14
 
-    One working list: pass n replaces t_k by p * t_k + q * t_{k+1} and
-    drops the last entry, whose row is complete.
+
+def _table(column: list, p) -> list:
+    """Outputs sum_k C(n, k) p^(n-k) column_k for n = 0..len-1: the
+    transform of ``column`` at shift p.
+
+    ``p`` is never 0: shift 0 returns before any table.  For an int p on
+    a long enough column this is D_p T_1 D_p^(-1): entry k is scaled by
+    p^(N-k), the unit table runs as Horner in u = z/(1 - z), one prefix
+    sum per input term, and output n is divided exactly by p^(N-n).
+    Otherwise :func:`_difference_table` runs.
+    """
+    n = len(column) - 1
+    if (
+        n < _UNIT_MIN_TERMS - 1
+        or not isinstance(p, int)
+        or n * abs(p).bit_length() ** 2 > _UNIT_MAX_N_BITS2
+    ):
+        return _difference_table(column, p)
+    if p != 1:
+        scale = list(accumulate(repeat(p, n), operator.mul, initial=1))[::-1]
+        column = list(map(operator.mul, column, scale))  # entry k times p^(N-k)
+    g = []
+    for c in reversed(column):
+        g = list(accumulate(g, initial=c))
+    if p != 1:
+        g = list(map(operator.floordiv, g, scale))
+    return g
+
+
+def _difference_table(column: Iterable, p) -> list:
+    """Outputs sum_k C(n, k) p^(n-k) column_k for n = 0..len-1, the
+    transform of ``column`` at shift p, for any scalar p.
+
+    One working list: pass n replaces t_k by p * t_k + t_{k+1} and drops
+    the last entry, whose row is complete.
     """
     t = list(column)
     out = [t[0]]
     for m in range(len(t) - 1, 0, -1):
-        if q == 1:
-            for k in range(m):
-                t[k] = p * t[k] + t[k + 1]
-        else:
-            for k in range(m):
-                t[k] = p * t[k] + q * t[k + 1]
+        for k in range(m):
+            t[k] = p * t[k] + t[k + 1]
         t.pop()
         out.append(t[0])
     return out

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binshift import exactnum
+from binshift import exactnum, transform
 from binshift.errors import DomainMismatch, PrefixTooShort
 from binshift.exactnum import (
     INT,
@@ -203,9 +203,119 @@ class TestDifferentialKernel:
         vals = prefix.promoted(target).values[: n_max + 1]
         assert out.domain == target
         assert out.values == comb_oracle(vals, rp)
-        generic = _difference_table(vals, rp, 1)
+        generic = _difference_table(vals, rp)
         assert len(out) == n_max + 1
         assert_same_scalars(out.values, generic)
+
+
+UNIT_TERMS = transform._UNIT_MIN_TERMS
+
+
+def unit_bits_limit(n_last):
+    """The largest bit length of an int shift for which the unit table
+    runs on a column whose last index is ``n_last``."""
+    return math.isqrt(transform._UNIT_MAX_N_BITS2 // max(n_last, 1))
+
+
+@st.composite
+def unit_table_cases_st(draw):
+    """A prefix over any domain whose length is on either side of the unit
+    table's minimum, and a shift: +-1, +-2, +-3, a Fraction, or an int (or
+    that int over 3) whose bit length is at the size limit for this
+    length or one past it.  A long prefix repeats a drawn one, plus the
+    index (drawing every term costs hypothesis seconds)."""
+    prefix = draw(prefixes_st())
+    if draw(st.booleans()):
+        size = draw(st.integers(UNIT_TERMS - 2, UNIT_TERMS + 3))
+        base = prefix.values
+        prefix = SequencePrefix(
+            [base[k % len(base)] + k for k in range(size)], prefix.domain
+        )
+    size = len(prefix)
+    kind = draw(st.sampled_from(("small", "rat", "edge")))
+    if kind == "small":
+        return prefix, draw(st.sampled_from((1, -1, 2, -2, 3, -3)))
+    if kind == "rat":
+        return prefix, draw(fractions_st)
+    bits = unit_bits_limit(size - 1) + draw(st.integers(0, 1))
+    p = draw(st.integers(2 ** (bits - 1), 2**bits - 1)) * draw(st.sampled_from((1, -1)))
+    return prefix, (p if draw(st.booleans()) else Fraction(p, 3))
+
+
+class TestUnitTable:
+    """An int shift p of a long enough column runs the additions-only table
+    of shift 1 between the scalings by p^(N-k) and p^-(N-n); every result
+    must equal the double sum and, value for value, what the multiply-add
+    table gives on the scalars themselves."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(unit_table_cases_st())
+    # N = 0
+    @example((SequencePrefix([Quad(2, -1, 5)]), 7))
+    # p = 1 and p = -1
+    @example((SequencePrefix(list(range(-13, UNIT_TERMS))), 1))
+    @example((SequencePrefix([Fraction(k, 3) for k in range(UNIT_TERMS + 1)]), -1))
+    # p < 0 at odd N
+    @example((SequencePrefix([k * k - 7 for k in range(UNIT_TERMS + 2)]), -3))
+    # an all-zero column
+    @example((SequencePrefix([0] * (UNIT_TERMS + 3)), 2))
+    # the b column cancels: sum_k C(n, k) (-1)^k = 0 for n >= 1
+    @example((SequencePrefix([Quad(k, (-1) ** k, 5) for k in range(UNIT_TERMS)]), 1))
+    def test_matches_oracle_and_multiply_add_table(self, case):
+        prefix, r = case
+        out = apply_transform(prefix, r)
+        target = join_domains(prefix.domain, domain_of(r))
+        rp = promote(r, target)
+        vals = prefix.promoted(target).values
+        assert out.domain == target
+        assert out.values == comb_oracle(vals, rp)
+        assert_same_scalars(out.values, _difference_table(vals, rp))
+
+
+class TestKernelSelection:
+    """Which table runs, seen through a counting wrapper on
+    ``_difference_table``: the unit table takes int shifts of long
+    columns, the multiply-add table short columns, large |p| and
+    irrational shifts."""
+
+    @pytest.fixture
+    def multiply_add_calls(self, monkeypatch):
+        calls = [0]
+        original = transform._difference_table
+
+        def counted(column, p):
+            calls[0] += 1
+            return original(column, p)
+
+        monkeypatch.setattr(transform, "_difference_table", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "values, r",
+        [
+            ([k * k - 50 * k for k in range(101)], 3),
+            ([Fraction(k * k - 7, 7) for k in range(101)], Fraction(1, 3)),
+        ],
+        ids=["int-N100-r3", "rat-N100-r1/3"],
+    )
+    def test_unit_table_runs(self, multiply_add_calls, values, r):
+        out = apply_transform(values, r)
+        assert multiply_add_calls[0] == 0
+        assert out.values == comb_oracle(values, r)
+
+    @pytest.mark.parametrize(
+        "values, r",
+        [
+            (list(range(UNIT_TERMS - 1)), 3),
+            (list(range(101)), 10**30),
+            ([Quad(k, 1, 5) for k in range(101)], Quad(1, 1, 5)),
+        ],
+        ids=["short-column", "large-p", "irrational-quad"],
+    )
+    def test_multiply_add_table_runs(self, multiply_add_calls, values, r):
+        out = apply_transform(values, r)
+        assert multiply_add_calls[0] >= 1
+        assert out.values == comb_oracle(values, r)
 
 
 class TestShiftZero:

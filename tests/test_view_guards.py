@@ -5,9 +5,9 @@
   domain and returns the identical objects.
 * The generating-function, root-shift, Binet and matrix views keep
   arithmetic of their own: they give correct results with
-  ``apply_transform`` and ``_difference_table`` made to raise at every
-  module binding, so verify's comparisons against the transform stay
-  independent.
+  ``apply_transform`` and both transform tables, ``_table`` and
+  ``_difference_table``, made to raise at every module binding, so
+  verify's comparisons against the transform stay independent.
 * At a rational shift the OGF, Riordan and matrix views build their
   Fractions only for the results, not per term.
 """
@@ -185,7 +185,9 @@ def check_views_without_transform(monkeypatch, r, scale):
     def raiser(*args, **kwargs):
         raise AssertionError("a view called the transform kernel")
 
-    bindings = _binshift_bindings(apply_transform, transform._difference_table)
+    bindings = _binshift_bindings(
+        apply_transform, transform._table, transform._difference_table
+    )
     assert len(bindings) >= 5
     for mod, attr in bindings:
         monkeypatch.setattr(mod, attr, raiser)
