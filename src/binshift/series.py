@@ -22,12 +22,14 @@ substitution (Horner in u) costs O(N^2) operations and one Riordan entry
 of its own.
 
 At a rational shift r = p/q none of the views does scalar arithmetic per
-term.  The OGF and EGF loops run with p on native-int columns through
-``exactnum._at_rational_shift``, the lowering the root shift in
-``recurrence`` shares, and each result coefficient is built once.  The
-Riordan entry divides by 1 - p z on ints and builds one scalar over
-q^(n-k).  An irrational Quad or a non-constant Poly shift runs the same
-loops on the scalars.
+term.  The OGF and EGF loops run once with p on one packed native-int
+column through ``exactnum._on_ints``, the lowering the root shift in
+``recurrence`` shares, and each result coefficient is built once; a
+non-constant Poly shift S/e runs them the same way with the int S(2^w).
+The Riordan entry divides by 1 - p z on ints and builds one scalar over
+q^(n-k).  An irrational Quad shift runs the OGF and EGF loops on the
+scalars, and so does the Riordan entry at an irrational Quad or a
+non-constant Poly shift.
 
 Results computed in an already-joined domain are built by the unchecked
 ``TruncSeries._of`` and ``SequencePrefix._of``; the public constructors
@@ -44,7 +46,7 @@ from .errors import KindMismatch, OrderMismatch
 from .exactnum import (
     Domain,
     Scalar,
-    _at_rational_shift,
+    _on_ints,
     _rational_parts,
     domain_of,
     join_domains,
@@ -265,15 +267,16 @@ def series_compose_geometric(f: TruncSeries, r: Scalar) -> TruncSeries:
     orders 0..N-k of acc reach the result; one last division applies
     (1 - r z)^(-1).  O(N^2) operations in all; coefficient n of the result
     depends only on input coefficients 0..n.  At a rational shift r = p/q
-    the loop runs with p on int columns whose entry k is scaled by q^k,
-    and coefficient n is built over D * q^n (D the common denominator of
-    the coefficients), through ``exactnum._at_rational_shift``.
+    the loop runs once with p on the packed int columns, entry k scaled
+    by q^k, and coefficient n is built over D * q^n (D the common
+    denominator of the coefficients), through ``exactnum._on_ints``; a
+    non-constant Poly shift S/e runs it with the int S(2^w).
     """
     if f.kind != OGF:
         raise KindMismatch("geometric substitution acts on ogf series")
     target = join_domains(f.domain, domain_of(r))
     coeffs = f.promoted(target).coeffs
-    out = _at_rational_shift(_horner_in_u, coeffs, r, target)
+    out = _on_ints(_horner_in_u, coeffs, r, target)
     return TruncSeries._of(OGF, out, target)
 
 
@@ -296,17 +299,18 @@ def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
 
     with row n of binomials built by C(n, k+1) = C(n, k) (n-k)/(k+1):
     N(N+1)/2 terms for order N, no call to ``math.comb`` and none to
-    :func:`series_mul`.  At a rational shift r = p/q the rows run with p on
-    int columns whose entry k is scaled by q^k, which gives
+    :func:`series_mul`.  At a rational shift r = p/q the rows run once with
+    p on the packed int columns, entry k scaled by q^k, which gives
     q^n b_n = sum_k C(n, k) p^(n-k) q^k a_k, and b_n is built over D * q^n
     (D the common denominator of the coefficients), through
-    ``exactnum._at_rational_shift``.
+    ``exactnum._on_ints``; a non-constant Poly shift S/e runs them with the
+    int S(2^w).
     """
     if f.kind != EGF:
         raise KindMismatch("exponential multiplication acts on egf series")
     target = join_domains(f.domain, domain_of(r))
     coeffs = f.promoted(target).coeffs
-    out = _at_rational_shift(_binomial_rows, coeffs, r, target)
+    out = _on_ints(_binomial_rows, coeffs, r, target)
     return TruncSeries._of(EGF, out, target)
 
 

@@ -19,22 +19,28 @@ u = z/(1 - z); Horner in u from the last coefficient down makes each
 step "put c in front, then divide by 1 - z", and dividing by 1 - z is a
 prefix sum: one ``itertools.accumulate`` per input term.
 
-A rational shift r = p/q (an int, a Fraction, a Quad with zero radical
-part or a constant Poly) goes through ``exactnum._at_rational_shift``:
-the prefix is lowered to native-int columns over one common denominator
+Every shift but an irrational Quad goes through ``exactnum._on_ints``,
+which runs :func:`_table` once on one native-int column.  For
+r = p/q (an int, a Fraction, a Quad with zero radical part or a constant
+Poly) the prefix is lowered to int columns over one common denominator
 (one column for rat, a rational-part and a radical-part column for
 quad(d), one column per coefficient index for poly(x)), entry k is
-scaled by q^k, and each output is rebuilt over D * q^n once.  On each
-int column :func:`_table` then scales entry k by p^(N-k), runs the unit
-table and divides output n exactly by p^(N-n).  Where the scaling does
-not pay it runs the multiply-add table :func:`_difference_table`,
-``t_k <- p*t_k + t_{k+1}`` (von zur Gathen and Gerhard, ISSAC 1997):
-below ``_UNIT_MIN_TERMS`` terms, where fixed costs dominate, and when
-N * bit_length(p)^2 is over ``_UNIT_MAX_N_BITS2``, where the long scaled
-entries and the exact divisions cost more than the multiply-adds save.
-An irrational Quad shift or a non-constant Poly shift runs
-:func:`_difference_table` on the scalars themselves.  Shift 0 is the
-identity and returns the promoted prefix without running a table.
+scaled by q^k, the columns are packed into w-bit slots of one column
+(entry k becomes sum_j col_j[k] * 2^(j*w); a short prefix or very wide
+slots keep one run per column), and each output is read back from its
+slots and rebuilt over D * q^n once.  A non-constant Poly shift S/e runs
+the same way with the int p = S(2^w), its outputs spreading over more
+slots.  :func:`_table` then scales entry k by
+p^(N-k), runs the unit table and divides output n exactly by p^(N-n).
+Where the scaling does not pay it runs the multiply-add table
+:func:`_difference_table`, ``t_k <- p*t_k + t_{k+1}`` (von zur Gathen
+and Gerhard, ISSAC 1997): below ``_UNIT_MIN_TERMS`` terms, where fixed
+costs dominate, and when N * bit_length(p)^2 is over
+``_UNIT_MAX_N_BITS2``, where the long scaled entries and the exact
+divisions cost more than the multiply-adds save (a packed Poly-shift p
+is always that long).  In the int domain and at an irrational Quad shift
+the table runs on the scalars themselves.  Shift 0 is the identity and
+returns the promoted prefix without running a table.
 
 Results are built by the unchecked ``SequencePrefix._of``: their values
 were computed in the already-joined domain, so the per-value join of
@@ -51,7 +57,7 @@ from .errors import PrefixTooShort
 from .exactnum import (
     Domain,
     Scalar,
-    _at_rational_shift,
+    _on_ints,
     domain_of,
     join_domains,
     promote,
@@ -177,7 +183,7 @@ def apply_transform(
     vals = a.promoted(target).values[: n_max + 1]
     if rp == 0:  # the identity: no table, and no common denominator
         return SequencePrefix._of(vals, target)
-    return SequencePrefix._of(_at_rational_shift(_table, vals, rp, target), target)
+    return SequencePrefix._of(_on_ints(_table, vals, rp, target), target)
 
 
 # Chosen from a grid of best-of timings against _difference_table on

@@ -30,7 +30,11 @@ from binshift.exactnum import (
     unify,
     zero,
 )
-from binshift.transform import SequencePrefix, apply_transform
+from binshift.recurrence import _taylor_shift
+from binshift.series import _binomial_rows, _horner_in_u
+from binshift.transform import SequencePrefix, _table, apply_transform
+
+from exact_strategies import assert_same_scalars
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 polys_st = st.lists(fractions_st, max_size=5).map(lambda cs: Poly(cs, "x"))
@@ -518,3 +522,83 @@ class TestRingLaws:
 
         assert q.denominator > 0
         assert math.gcd(q.numerator, q.denominator) == 1
+
+
+KERNELS = (_table, _taylor_shift, _binomial_rows, _horner_in_u)
+
+
+def bound_case(n, width, bits, pattern, r):
+    """N + 1 values whose lowered int entries are all +-(2^bits - 1): of
+    one sign, alternating along k and j, or all 0.  ``width`` 2 with a
+    rational ``r`` gives quad(5) values, any other width poly(x) values of
+    that many coefficients; ``r`` is promoted into their domain."""
+    top = 2**bits - 1
+
+    def sign(k, j):
+        return {"plus": 1, "minus": -1, "zero": 0}.get(pattern, (-1) ** (k + j))
+
+    rows = [[sign(k, j) * top for j in range(width)] for k in range(n + 1)]
+    if width == 2 and not isinstance(r, Poly):
+        dom = quad_domain(5)
+        values = [Quad(a, b, 5) for a, b in rows]
+    else:
+        dom = poly_domain("x")
+        values = [Poly(row, "x") for row in rows]
+    return values, promote(r, dom), dom
+
+
+@st.composite
+def bound_cases_st(draw):
+    """A prefix at the slot bound (:func:`bound_case`) of width 1, 2 or 9,
+    and a shift: p/q with p in +-1, +-2, +-3 or a large |p| and q in 1, 2,
+    7, or a Poly of degree 1 to 3 with coefficients of either sign over
+    denominators up to 6.  It has 1 to 4 terms, or at a rational shift
+    also 11, 25 or 26, the lengths from which one packs 9 and 2 columns."""
+    lengths = (0, 1, 2, 3)
+    width = draw(st.sampled_from((1, 2, 9)))
+    bits = draw(st.integers(1, 80))
+    pattern = draw(st.sampled_from(("plus", "minus", "alternating", "zero")))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from((1, -1, 2, -2, 3, -3, 3**41, -(3**41))))
+        r = Fraction(p, draw(st.sampled_from((1, 2, 7))))
+        lengths += (10, 24, 25)
+    else:
+        degree = draw(st.integers(1, 3))
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        head = draw(st.lists(coeffs, min_size=degree, max_size=degree))
+        r = Poly(head + [draw(coeffs.filter(bool))], "x")
+    n = draw(st.sampled_from(lengths))
+    return bound_case(n, width, bits, pattern, r)
+
+
+class TestPackedColumns:
+    """``exactnum._on_ints`` packs the int columns of a quad or poly
+    prefix into one column of w-bit slots and runs a kernel once, with p
+    or with S(2^w) for a Poly shift S/e; each of the four kernels must
+    give, scalar for scalar, what it gives on the scalars themselves.  The
+    entries sit at the slot bound, where N = 0 and N = 1 make it tight.
+    Shorter prefixes at a rational shift run one column at a time."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(bound_cases_st())
+    # N = 0 and N = 1, at the bound, on both unpacking routes
+    @example(bound_case(0, 2, 7, "plus", 1))
+    @example(bound_case(1, 2, 64, "minus", 1))
+    @example(bound_case(1, 2, 5, "alternating", Fraction(-2, 7)))
+    @example(bound_case(1, 9, 33, "plus", 3))
+    @example(bound_case(0, 9, 1, "alternating", -1))
+    # the shortest packed prefixes at a rational shift
+    @example(bound_case(24, 2, 64, "plus", 1))
+    @example(bound_case(24, 2, 9, "alternating", Fraction(-3, 7)))
+    @example(bound_case(10, 9, 17, "minus", 2))
+    # the symbolic route: rational coefficients, so entry k is scaled by e^k
+    @example(bound_case(1, 1, 12, "plus", Poly((Fraction(-1, 2), Fraction(3, 2)), "x")))
+    @example(bound_case(1, 9, 40, "alternating", Poly((1, Fraction(-2, 3), 0, 5), "x")))
+    @example(bound_case(3, 2, 20, "zero", Poly((0, 1), "x")))
+    # ||S||_1 = 8 where the leading coefficient alone would give 1
+    @example(bound_case(1, 1, 10, "plus", Poly((7, 1), "x")))
+    def test_matches_scalar_route(self, case):
+        values, r, dom = case
+        for kernel in KERNELS:
+            got = exactnum._on_ints(kernel, values, r, dom)
+            assert_same_scalars(got, kernel(list(values), r))

@@ -318,6 +318,57 @@ class TestKernelSelection:
         assert out.values == comb_oracle(values, r)
 
 
+class TestOneKernelRun:
+    """A quad or poly prefix, at a rational or a non-constant Poly shift,
+    is packed into one int column: a counting wrapper on ``_table`` sees
+    exactly one call, with int entries and an int p (one call per column
+    before packing, and Poly scalars at a Poly shift).  A short prefix,
+    or one that needs slots over 1,536 bits wide, at a rational shift
+    still runs one int call per column."""
+
+    @staticmethod
+    def int_calls(monkeypatch, values, r):
+        """Per ``_table`` call, whether its entries and p are all ints;
+        the transform's values are checked against ``comb_oracle``."""
+        calls = []
+        original = transform._table
+
+        def counted(column, p):
+            calls.append(all(type(t) is int for t in [*column, p]))
+            return original(column, p)
+
+        monkeypatch.setattr(transform, "_table", counted)
+        out = apply_transform(values, r)
+        prefix = as_prefix(values)
+        target = join_domains(prefix.domain, domain_of(r))
+        assert out.values == comb_oracle(prefix.promoted(target).values, promote(r, target))
+        return calls
+
+    @pytest.mark.parametrize(
+        "values, r",
+        [
+            (family_prefix("wpoly", 40), 2),
+            ([Quad(k * k - 50 * k, 7 - k, 5) for k in range(101)], 1),
+            (family_prefix("fibonacci", 30), Poly((0, 1), "r")),
+        ],
+        ids=["wpoly-N40-r2", "quad5-N100-r1", "fibonacci-N30-r"],
+    )
+    def test_one_int_call(self, monkeypatch, values, r):
+        assert self.int_calls(monkeypatch, values, r) == [True]
+
+    @pytest.mark.parametrize(
+        "values, r, columns",
+        [
+            ([Quad(k * k - 50 * k, 7 - k, 5) for k in range(13)], 1, 2),
+            ([Poly((k, -k, Fraction(1, 3)), "x") for k in range(13)], Fraction(-7, 4), 3),
+            ([Quad(k * k - 50 * k, 7 - k, 5) for k in range(51)], 2**40, 2),
+        ],
+        ids=["quad5-N12-r1", "poly3-N12-r-7/4", "quad5-N50-r2^40"],
+    )
+    def test_runs_per_column(self, monkeypatch, values, r, columns):
+        assert self.int_calls(monkeypatch, values, r) == [True] * columns
+
+
 class TestShiftZero:
     """Shift 0 is the identity: the promoted prefix comes back without a
     difference table or a common denominator."""
