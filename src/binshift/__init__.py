@@ -19,194 +19,26 @@ Quick start::
     print(apply_transform(fib, 1).values)   # (0, 1, 3, 8, 21, ...)
 """
 
-from .errors import (
-    BinshiftError,
-    DivisionByZero,
-    DomainMismatch,
-    EnumerationTooLarge,
-    KindMismatch,
-    NegativeInput,
-    NonInvertibleDomain,
-    NonMonic,
-    OrderMismatch,
-    PrefixTooShort,
-    UnknownFamily,
-)
-from .exactnum import (
-    INT,
-    RAT,
-    Domain,
-    Poly,
-    Quad,
-    Scalar,
-    domain_of,
-    indeterminate,
-    is_squarefree,
-    join_domains,
-    parse_scalar,
-    poly_domain,
-    promote,
-    quad_domain,
-    render_scalar,
-    scalar_inv,
-    one,
-    unify,
-    zero,
-)
-from .families import (
-    FamilySpec,
-    INTEGER_FAMILIES,
-    TABLE1_GOLDEN,
-    TABLE2_GOLDEN,
-    family_binet_form,
-    family_char_poly,
-    family_names,
-    family_prefix,
-    family_recurrence,
-    generalized_mersenne_transformed,
-    get_family,
-    recurrences_table,
-    segment_row,
-    special_identities_report,
-    table_initial_segments,
-    transformed_family_recurrence,
-)
-from .models import (
-    ENUMERATION_LIMIT,
-    BinetForm,
-    MatrixModel,
-    binet_eval,
-    binet_shift,
-    colored_count_bruteforce,
-    companion_matrix,
-    matrix_transform_eval,
-    model_from_recurrence,
-)
-from .recurrence import (
-    CharPoly,
-    Recurrence,
-    apply_char_operator,
-    intertwine_residual,
-    monic_normalized,
-    second_order_template,
-    shift_characteristic,
-    transform_recurrence,
-    unroll,
-)
-from .series import (
-    EGF,
-    OGF,
-    TruncSeries,
-    egf_transform,
-    prefix_from_series,
-    riordan_entry,
-    series_compose_geometric,
-    series_from_prefix,
-    series_mul,
-)
-from .transform import (
-    SequencePrefix,
-    apply_transform,
-    as_prefix,
-    compose_transforms,
-    inverse_transform,
-    iterated_binomial,
-)
-from .verify import SUITE_NAMES, PropertyResult, SuiteReport, run_suite
+from . import errors, exactnum, families, models, recurrence, series, transform, verify
+from .errors import *
+from .exactnum import *
+from .families import *
+from .models import *
+from .recurrence import *
+from .series import *
+from .transform import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "BinshiftError",
-    "DivisionByZero",
-    "DomainMismatch",
-    "EnumerationTooLarge",
-    "KindMismatch",
-    "NegativeInput",
-    "NonInvertibleDomain",
-    "NonMonic",
-    "OrderMismatch",
-    "PrefixTooShort",
-    "UnknownFamily",
-    # exact scalars
-    "Domain",
-    "INT",
-    "RAT",
-    "Poly",
-    "Quad",
-    "Scalar",
-    "domain_of",
-    "indeterminate",
-    "is_squarefree",
-    "join_domains",
-    "one",
-    "parse_scalar",
-    "poly_domain",
-    "promote",
-    "quad_domain",
-    "render_scalar",
-    "scalar_inv",
-    "unify",
-    "zero",
-    # prefixes and the transform
-    "SequencePrefix",
-    "apply_transform",
-    "as_prefix",
-    "compose_transforms",
-    "inverse_transform",
-    "iterated_binomial",
-    # series
-    "EGF",
-    "OGF",
-    "TruncSeries",
-    "egf_transform",
-    "prefix_from_series",
-    "riordan_entry",
-    "series_compose_geometric",
-    "series_from_prefix",
-    "series_mul",
-    # recurrences
-    "CharPoly",
-    "Recurrence",
-    "apply_char_operator",
-    "intertwine_residual",
-    "monic_normalized",
-    "second_order_template",
-    "shift_characteristic",
-    "transform_recurrence",
-    "unroll",
-    # models
-    "ENUMERATION_LIMIT",
-    "BinetForm",
-    "MatrixModel",
-    "binet_eval",
-    "binet_shift",
-    "colored_count_bruteforce",
-    "companion_matrix",
-    "matrix_transform_eval",
-    "model_from_recurrence",
-    # families
-    "FamilySpec",
-    "INTEGER_FAMILIES",
-    "TABLE1_GOLDEN",
-    "TABLE2_GOLDEN",
-    "family_binet_form",
-    "family_char_poly",
-    "family_names",
-    "family_prefix",
-    "family_recurrence",
-    "generalized_mersenne_transformed",
-    "get_family",
-    "recurrences_table",
-    "segment_row",
-    "special_identities_report",
-    "table_initial_segments",
-    "transformed_family_recurrence",
-    # verification
-    "PropertyResult",
-    "SUITE_NAMES",
-    "SuiteReport",
-    "run_suite",
+    *errors.__all__,
+    *exactnum.__all__,
+    *families.__all__,
+    *models.__all__,
+    *recurrence.__all__,
+    *series.__all__,
+    *transform.__all__,
+    *verify.__all__,
 ]

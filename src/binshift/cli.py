@@ -84,135 +84,90 @@ MAX_DEPTH = 200
 
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)")
 
+
+def _closed(**properties: dict) -> dict:
+    """A JSON object schema that requires exactly ``properties``, in order."""
+    return {
+        "type": "object",
+        "required": list(properties),
+        "additionalProperties": False,
+        "properties": properties,
+    }
+
+
 SCHEMAS: dict[str, dict] = {
-    "transform": {
-        "type": "object",
-        "required": ["source", "shift", "domain", "values"],
-        "additionalProperties": False,
-        "properties": {
-            "source": {"type": "string"},
-            "shift": {"type": "string"},
-            "domain": {"type": "string"},
-            "values": {
-                "type": "array",
-                "items": {"type": ["integer", "string"]},
-                "minItems": 1,
-            },
+    "transform": _closed(
+        source={"type": "string"},
+        shift={"type": "string"},
+        domain={"type": "string"},
+        values={
+            "type": "array",
+            "items": {"type": ["integer", "string"]},
+            "minItems": 1,
         },
-    },
-    "shift-poly": {
-        "type": "object",
-        "required": ["shift", "input", "coefficients", "text"],
-        "additionalProperties": False,
-        "properties": {
-            "shift": {"type": "string"},
-            "input": {"type": "array", "items": {"type": ["integer", "string"]}},
-            "coefficients": {
-                "type": "array",
-                "items": {"type": ["integer", "string"]},
-                "minItems": 2,
-            },
-            "text": {"type": "string"},
+    ),
+    "shift-poly": _closed(
+        shift={"type": "string"},
+        input={"type": "array", "items": {"type": ["integer", "string"]}},
+        coefficients={
+            "type": "array",
+            "items": {"type": ["integer", "string"]},
+            "minItems": 2,
         },
-    },
-    "table-segments": {
-        "type": "object",
-        "required": ["table", "rows"],
-        "additionalProperties": False,
-        "properties": {
-            "table": {"const": "segments"},
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["family", "r", "values", "matches_reference"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "family": {"type": "string"},
-                        "r": {"type": "integer"},
-                        "values": {"type": "array", "items": {"type": "integer"}},
-                        "matches_reference": {"type": "boolean"},
-                    },
-                },
-            },
+        text={"type": "string"},
+    ),
+    "table-segments": _closed(
+        table={"const": "segments"},
+        rows={
+            "type": "array",
+            "items": _closed(
+                family={"type": "string"},
+                r={"type": "integer"},
+                values={"type": "array", "items": {"type": "integer"}},
+                matches_reference={"type": "boolean"},
+            ),
         },
-    },
-    "table-recurrences": {
-        "type": "object",
-        "required": ["table", "rows"],
-        "additionalProperties": False,
-        "properties": {
-            "table": {"const": "recurrences"},
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["family", "b1", "b2", "init", "matches_reference"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "family": {"type": "string"},
-                        "b1": {"type": "string"},
-                        "b2": {"type": "string"},
-                        "init": {
-                            "type": "array",
-                            "items": {"type": ["integer", "string"]},
-                        },
-                        "matches_reference": {"type": "boolean"},
-                    },
-                },
-            },
+    ),
+    "table-recurrences": _closed(
+        table={"const": "recurrences"},
+        rows={
+            "type": "array",
+            "items": _closed(
+                family={"type": "string"},
+                b1={"type": "string"},
+                b2={"type": "string"},
+                init={"type": "array", "items": {"type": ["integer", "string"]}},
+                matches_reference={"type": "boolean"},
+            ),
         },
-    },
-    "verify": {
-        "type": "object",
-        "required": ["suite", "seed", "cases", "ok", "properties"],
-        "additionalProperties": False,
-        "properties": {
-            "suite": {"type": "string"},
-            "seed": {"type": "integer"},
-            "cases": {"type": "integer"},
-            "ok": {"type": "boolean"},
-            "properties": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["name", "cases", "ok", "failure"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "name": {"type": "string"},
-                        "cases": {"type": "integer"},
-                        "ok": {"type": "boolean"},
-                        "failure": {"type": ["string", "null"]},
-                    },
-                },
-            },
+    ),
+    "verify": _closed(
+        suite={"type": "string"},
+        seed={"type": "integer"},
+        cases={"type": "integer"},
+        ok={"type": "boolean"},
+        properties={
+            "type": "array",
+            "items": _closed(
+                name={"type": "string"},
+                cases={"type": "integer"},
+                ok={"type": "boolean"},
+                failure={"type": ["string", "null"]},
+            ),
         },
-    },
-    "family": {
-        "type": "object",
-        "required": ["families"],
-        "additionalProperties": False,
-        "properties": {
-            "families": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["name", "oeis", "poly", "init", "domain"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "name": {"type": "string"},
-                        "oeis": {"type": ["string", "null"]},
-                        "poly": {"type": "string"},
-                        "init": {
-                            "type": "array",
-                            "items": {"type": ["integer", "string"]},
-                        },
-                        "domain": {"type": "string"},
-                    },
-                },
-            },
+    ),
+    "family": _closed(
+        families={
+            "type": "array",
+            "items": _closed(
+                name={"type": "string"},
+                oeis={"type": ["string", "null"]},
+                poly={"type": "string"},
+                init={"type": "array", "items": {"type": ["integer", "string"]}},
+                domain={"type": "string"},
+            ),
         },
-    },
+    ),
 }
 
 

@@ -1,5 +1,19 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "BinshiftError",
+    "DivisionByZero",
+    "DomainMismatch",
+    "EnumerationTooLarge",
+    "KindMismatch",
+    "NegativeInput",
+    "NonInvertibleDomain",
+    "NonMonic",
+    "OrderMismatch",
+    "PrefixTooShort",
+    "UnknownFamily",
+]
+
 
 class BinshiftError(Exception):
     """Base class for every error raised by this package."""

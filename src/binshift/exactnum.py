@@ -93,7 +93,7 @@ def _as_fraction(value: object) -> Fraction:
     _reject_float(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
@@ -927,6 +927,13 @@ def _split_signed_terms(s: str) -> list[str]:
 _RAT_RE = r"\d+(?:/\d+)?"
 
 
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse rational {text!r}") from None
+
+
 def _parse_poly(text: str, var: str) -> Poly:
     term_re = re.compile(
         rf"^([+-]?)({_RAT_RE})?(?:\*?{re.escape(var)}(?:\^(\d+))?)?$"
@@ -938,7 +945,7 @@ def _parse_poly(text: str, var: str) -> Poly:
         if not m or (m.group(2) is None and var not in term):
             raise ValueError(f"cannot parse polynomial term {term!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        coeff = _parse_rational(m.group(2)) if m.group(2) else Fraction(1)
         if var in term:
             power = int(m.group(3)) if m.group(3) else 1
         else:
@@ -963,11 +970,11 @@ def _parse_quad(text: str, d: int) -> Quad:
             if int(m.group(3)) != d:
                 raise ValueError(f"radicand {m.group(3)} does not match sqrt({d})")
             sign = -1 if m.group(1) == "-" else 1
-            b += sign * (Fraction(m.group(2)) if m.group(2) else Fraction(1))
+            b += sign * (_parse_rational(m.group(2)) if m.group(2) else Fraction(1))
             continue
         m = rational_re.match(term)
         if m:
-            a += Fraction(m.group(1))
+            a += _parse_rational(m.group(1))
             continue
         raise ValueError(f"cannot parse quadratic term {term!r}")
     return Quad(a, b, d)
@@ -982,10 +989,7 @@ def parse_scalar(text: str, dom: Domain) -> Scalar:
         except ValueError:
             raise ValueError(f"cannot parse integer {text!r}") from None
     if dom.kind == "rat":
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"cannot parse rational {text!r}") from None
+        return _parse_rational(text)
     if dom.kind == "poly":
         return _parse_poly(text, dom.var)
     return _parse_quad(text, dom.d)

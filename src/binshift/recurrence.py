@@ -16,16 +16,8 @@ P(X) = X^2 - p X + q shifts to X^2 - (p + 2r) X + (r^2 + p r + q).
 P(X - r) is a Taylor shift, computed by Ruffini-Horner (von zur Gathen
 and Gerhard, ISSAC 1997): d passes of synthetic division by X + r, each
 the recurrence t_j <- t_j - r * t_{j-1}, d(d+1)/2 multiply-adds with no
-binomial coefficient and no power of r.  For a rational shift r = p/q,
-coefficient j is lowered to int columns over one common denominator D
-and scaled by q^j, the columns are packed into one (unless the
-polynomial is short or the slots very wide), the passes run once on
-native ints with p, and coefficient j is built once over D * q^j.  A
-non-constant Poly shift S/e (the symbolic rows P(X - r) of the
-recurrence table) runs the same passes with the int S(2^w) on the
-packed column.  The lowering is ``exactnum._on_ints``, shared with
-``transform`` and ``series``; only an irrational Quad shift runs the
-passes on the scalars.
+binomial coefficient and no power of r.  Every shift but an irrational
+Quad runs the passes on native ints, lowered by ``exactnum._on_ints``.
 
 Results of arithmetic on values of one joined domain are built by the
 unchecked ``_of`` constructors, which skip the per-value join of
@@ -296,12 +288,9 @@ def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:
 
         t_j <- t_j - r * t_{j-1}    for j = 1..m,
 
-    after which t_m is final, so d(d+1)/2 multiply-adds in all.  At a
-    rational shift r = p/q the passes run once with p on the packed int
-    columns, entry j scaled by q^j, and coefficient j is built over
-    D * q^j (D the common denominator of the coefficients), through
-    ``exactnum._on_ints``; a non-constant Poly shift S/e runs them with
-    the int S(2^w).
+    after which t_m is final, so d(d+1)/2 multiply-adds in all.
+    ``exactnum._on_ints`` runs the passes on native ints at every shift
+    but an irrational Quad.
 
     The input must be monic; the output is then monic of the same degree,
     and shifting is additive in r with shift by -r as inverse.

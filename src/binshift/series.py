@@ -21,15 +21,11 @@ substitution (Horner in u) costs O(N^2) operations and one Riordan entry
 (n, k) costs O(k * (n - k)).  The EGF view is a binomial-row convolution
 of its own.
 
-At a rational shift r = p/q none of the views does scalar arithmetic per
-term.  The OGF and EGF loops run once with p on one packed native-int
-column through ``exactnum._on_ints``, the lowering the root shift in
-``recurrence`` shares, and each result coefficient is built once; a
-non-constant Poly shift S/e runs them the same way with the int S(2^w).
-The Riordan entry divides by 1 - p z on ints and builds one scalar over
-q^(n-k).  An irrational Quad shift runs the OGF and EGF loops on the
-scalars, and so does the Riordan entry at an irrational Quad or a
-non-constant Poly shift.
+Every shift but an irrational Quad runs the OGF and EGF loops on native
+ints, lowered by ``exactnum._on_ints``.  At a rational shift r = p/q the
+Riordan entry divides by 1 - p z on ints and builds one scalar over
+q^(n-k); at an irrational Quad or a non-constant Poly shift it runs on
+the scalars.
 
 Results computed in an already-joined domain are built by the unchecked
 ``TruncSeries._of`` and ``SequencePrefix._of``; the public constructors
@@ -266,11 +262,8 @@ def series_compose_geometric(f: TruncSeries, r: Scalar) -> TruncSeries:
     recurrence of :func:`_over_geometric`.  u^k has valuation k, so only
     orders 0..N-k of acc reach the result; one last division applies
     (1 - r z)^(-1).  O(N^2) operations in all; coefficient n of the result
-    depends only on input coefficients 0..n.  At a rational shift r = p/q
-    the loop runs once with p on the packed int columns, entry k scaled
-    by q^k, and coefficient n is built over D * q^n (D the common
-    denominator of the coefficients), through ``exactnum._on_ints``; a
-    non-constant Poly shift S/e runs it with the int S(2^w).
+    depends only on input coefficients 0..n.  ``exactnum._on_ints`` runs
+    the loop on native ints at every shift but an irrational Quad.
     """
     if f.kind != OGF:
         raise KindMismatch("geometric substitution acts on ogf series")
@@ -299,12 +292,8 @@ def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
 
     with row n of binomials built by C(n, k+1) = C(n, k) (n-k)/(k+1):
     N(N+1)/2 terms for order N, no call to ``math.comb`` and none to
-    :func:`series_mul`.  At a rational shift r = p/q the rows run once with
-    p on the packed int columns, entry k scaled by q^k, which gives
-    q^n b_n = sum_k C(n, k) p^(n-k) q^k a_k, and b_n is built over D * q^n
-    (D the common denominator of the coefficients), through
-    ``exactnum._on_ints``; a non-constant Poly shift S/e runs them with the
-    int S(2^w).
+    :func:`series_mul`.  ``exactnum._on_ints`` runs the rows on native
+    ints at every shift but an irrational Quad.
     """
     if f.kind != EGF:
         raise KindMismatch("exponential multiplication acts on egf series")

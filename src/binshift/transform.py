@@ -19,20 +19,10 @@ u = z/(1 - z); Horner in u from the last coefficient down makes each
 step "put c in front, then divide by 1 - z", and dividing by 1 - z is a
 prefix sum: one ``itertools.accumulate`` per input term.
 
-Every shift but an irrational Quad goes through ``exactnum._on_ints``,
-which runs :func:`_table` once on one native-int column.  For
-r = p/q (an int, a Fraction, a Quad with zero radical part or a constant
-Poly) the prefix is lowered to int columns over one common denominator
-(one column for rat, a rational-part and a radical-part column for
-quad(d), one column per coefficient index for poly(x)), entry k is
-scaled by q^k, the columns are packed into w-bit slots of one column
-(entry k becomes sum_j col_j[k] * 2^(j*w); a short prefix or very wide
-slots keep one run per column), and each output is read back from its
-slots and rebuilt over D * q^n once.  A non-constant Poly shift S/e runs
-the same way with the int p = S(2^w), its outputs spreading over more
-slots.  :func:`_table` then scales entry k by
-p^(N-k), runs the unit table and divides output n exactly by p^(N-n).
-Where the scaling does not pay it runs the multiply-add table
+Every shift but an irrational Quad runs :func:`_table` on native ints
+with an int p, lowered by ``exactnum._on_ints``.  :func:`_table` scales
+entry k by p^(N-k), runs the unit table and divides output n exactly by
+p^(N-n).  Where the scaling does not pay it runs the multiply-add table
 :func:`_difference_table`, ``t_k <- p*t_k + t_{k+1}`` (von zur Gathen
 and Gerhard, ISSAC 1997): below ``_UNIT_MIN_TERMS`` terms, where fixed
 costs dominate, and when N * bit_length(p)^2 is over

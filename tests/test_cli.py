@@ -1,6 +1,7 @@
 """End-to-end CLI behavior via in-process main() calls."""
 
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -17,6 +18,8 @@ from binshift.families import SegmentRow, family_names
 from binshift.verify import SUITE_NAMES, PropertyResult, SuiteReport
 
 GOLDEN_SEGMENTS = Path(__file__).parent / "golden" / "table2_segments.csv"
+# sha256 of json.dumps(SCHEMAS, sort_keys=True): the published JSON contract.
+SCHEMAS_SHA256 = "7ebe7c492525e4841769ea20ad86b65a2cfc66a602994bc9694ecd94b00c660e"
 # Distinct 997-digit denominators: each literal "1/..." has 999 characters.
 DENOMINATORS = [f"1/{10**996 + 2 * k + 1}" for k in range(120)]
 
@@ -25,6 +28,30 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestSchemas:
+    def test_schemas_pinned(self):
+        text = json.dumps(SCHEMAS, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == SCHEMAS_SHA256
+
+    def test_no_shared_nodes(self):
+        # SCHEMAS is a public mutable dict: an edit to one node must not
+        # change another schema through an alias.
+        seen = []
+
+        def walk(node):
+            if isinstance(node, dict):
+                seen.append(id(node))
+                for value in node.values():
+                    walk(value)
+            elif isinstance(node, list):
+                seen.append(id(node))
+                for value in node:
+                    walk(value)
+
+        walk(SCHEMAS)
+        assert len(seen) == len(set(seen))
 
 
 class TestTransform:

@@ -146,6 +146,14 @@ class TestPoly:
         with pytest.raises(TypeError):
             domain_of(0.5)
 
+    def test_bool_coefficients_rejected(self):
+        with pytest.raises(TypeError, match="bool"):
+            Poly((True, 2))
+        with pytest.raises(TypeError, match="bool"):
+            Quad(True, False, 5)
+        with pytest.raises(TypeError, match="bool"):
+            Quad(1, True, 5)
+
     def test_constant_value(self):
         assert Poly((Fraction(7, 2),)).constant_value() == Fraction(7, 2)
         with pytest.raises(ValueError):
@@ -419,6 +427,14 @@ class TestRenderParse:
             parse_scalar("sqrt(2)", quad_domain(5))
         with pytest.raises(ValueError):
             parse_scalar("", RAT)
+
+    @pytest.mark.parametrize(
+        "text, dom",
+        [("1/0", RAT), ("1/0*x", poly_domain("x")), ("1/0 + sqrt(5)", quad_domain(5))],
+    )
+    def test_parse_zero_denominator_is_value_error(self, text, dom):
+        with pytest.raises(ValueError, match="cannot parse rational '1/0'"):
+            parse_scalar(text, dom)
 
     @given(fractions_st)
     def test_rational_round_trip(self, q):
