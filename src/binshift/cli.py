@@ -46,7 +46,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import BinshiftError
-from .exactnum import Poly, Quad, Scalar, render_scalar
+from .exactnum import Poly, Scalar, _rational_parts, render_scalar
 from .families import (
     family_char_poly,
     family_names,
@@ -222,19 +222,22 @@ def _check_output_size(values: Sequence[Scalar], r: Scalar, n: int) -> None:
 
     Both commands sum binomial multiples of c_k * r^(n-k), r = p/q.  With L the
     lcm of the input denominators, each output component is N / (L*q^n), and
-    both N and L*q^n are at most (|p| + q)^n * L * max|numerator of c_k|.
+    both N and L*q^n are at most (|p| + q)^n * L * max|numerator of c_k|, a
+    Poly's numerators taken over its one denominator.
     """
     if r == 0 or n < 0:  # the identity prints its capped input; n < 0 fails later
         return
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    components = [v.coeffs if isinstance(v, Poly) else (v,) for v in values[: n + 1]]
-    parts = [c for cs in components for c in cs]
+    parts = [
+        v._numerators() if isinstance(v, Poly) else ((v.numerator,), v.denominator)
+        for v in values[: n + 1]
+    ]
     common = 1
-    for den in {c.denominator for c in parts}:
+    for den in {den for _, den in parts}:
         common = math.lcm(common, den)
         if common.bit_length() > 4 * limit:  # already more digits than the limit
             break
-    top = max((abs(c.numerator).bit_length() for c in parts), default=0)
+    top = max((c.bit_length() for nums, _ in parts for c in nums), default=0)
     x = abs(r.numerator) + r.denominator
     drop = max(0, x.bit_length() - 64)  # x**n <= 2**(drop*n) * ((x >> drop) + 1)**n
     head = (x >> drop) + (1 if drop else 0)
@@ -244,14 +247,9 @@ def _check_output_size(values: Sequence[Scalar], r: Scalar, n: int) -> None:
 
 def _json_value(v: Scalar):
     """Exactly integral values become JSON numbers, the rest exact strings."""
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    if isinstance(v, Poly) and v.is_constant:
-        return _json_value(v.constant_value())
-    if isinstance(v, Quad) and v.b == 0:
-        return _json_value(v.a)
+    ratio = _rational_parts(v)
+    if ratio is not None and ratio[1] == 1:
+        return ratio[0]
     return render_scalar(v)
 
 

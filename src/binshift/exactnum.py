@@ -46,6 +46,17 @@ shift, short prefixes and very wide slots keep one run per column.
 Every result is built once with ``_from_int_columns`` over ``D * e**j``.
 ``_rational_parts`` reads p and q off a rational-valued scalar.  Only the
 int domain and an irrational Quad shift run the kernel on the scalars.
+
+Scalar text is decided here alone.  ``_joined`` writes every signed sum,
+``a - b + c`` or compact ``a-b+c``, for ``Poly.text``, ``Poly.compact``,
+``Quad.text`` and ``recurrence.CharPoly.text``, from terms read off the
+int numerators, so rendering builds no Fraction.  :func:`parse_scalar`
+reads the rat, poly and quad domains with one term grammar,
+``_parse_terms``: a signed sum of ``c``, ``c*s`` and ``c*s^k`` with c
+written as ``_RAT_RE`` (digits, or digits/digits) and s absent, the
+indeterminate or ``sqrt(d)``.
+It is stricter than the CLI's literal grammar, ``Fraction``'s, which
+takes decimals and exponents such as ``1e50`` and no sums.
 """
 
 from __future__ import annotations
@@ -363,44 +374,11 @@ class Poly:
 
     def text(self) -> str:
         """Canonical ascending rendering, e.g. ``1 + 2*x - x^3``."""
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{self._var}" if k == 1 else f"{head}{self._var}^{k}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(parts)
+        return _joined(_terms(self._nums, self._den, self._var))
 
     def compact(self) -> str:
         """Descending space-free rendering, e.g. ``r^2+r-1``."""
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else str(mag)
-                body = f"{head}{self._var}" if k == 1 else f"{head}{self._var}^{k}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f"-{body}" if c < 0 else f"+{body}")
-        return "".join(parts)
+        return _joined(_terms(self._nums, self._den, self._var, "")[::-1], "")
 
     def __str__(self) -> str:
         return self.text()
@@ -573,16 +551,8 @@ class Quad:
         return hash((self._p, self._q, self._den, self._d))
 
     def text(self) -> str:
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        mag = abs(b)
-        radical = f"sqrt({self._d})" if mag == 1 else f"{mag}*sqrt({self._d})"
-        sign = "-" if b < 0 else ""
-        if a == 0:
-            return f"{sign}{radical}"
-        joiner = " - " if b < 0 else " + "
-        return f"{a}{joiner}{radical}"
+        """Rendering like ``1/2 - 3/2*sqrt(5)``, the radical part last."""
+        return _joined(_terms((self._p, self._q), self._den, f"sqrt({self._d})"))
 
     def __str__(self) -> str:
         return self.text()
@@ -896,6 +866,62 @@ def scalar_inv(x: Scalar) -> Scalar:
     raise NonInvertibleDomain(f"{dom} is not a field; promote to rat or quad first")
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """n/d as ``str(Fraction(n, d))`` writes it, for ``d > 0``: ``n/d``
+    in lowest terms, or the integer alone."""
+    if d == 1:
+        return str(n)
+    g = math.gcd(n, d)
+    return str(n // d) if g == d else f"{n // g}/{d // g}"
+
+
+def _term(body: str, symbol: str, k: int, star: str = "*") -> str:
+    """The coefficient text ``body`` times symbol^k: ``body`` alone at
+    k = 0, the power alone when ``body`` is 1, else ``body``, ``star``,
+    power."""
+    if not k:
+        return body
+    power = symbol if k == 1 else f"{symbol}^{k}"
+    return power if body == "1" else f"{body}{star}{power}"
+
+
+def _terms(
+    nums: Sequence[int], den: int, symbol: str, star: str = "*"
+) -> list[tuple[bool, str]]:
+    """``(negative, body)`` per nonzero coefficient ``nums[k]/den`` of
+    symbol^k, ascending: the terms of a Poly, or of a Quad in sqrt(d)."""
+    return [
+        (c < 0, _term(_ratio_text(abs(c), den), symbol, k, star))
+        for k, c in enumerate(nums)
+        if c
+    ]
+
+
+def _signed_text(c: Scalar) -> tuple[bool, str]:
+    """``(negative, body)`` of a nonzero scalar written as a coefficient: a
+    rational's magnitude; ``(compact)`` of a non-constant Poly, negated
+    when its leading coefficient is negative; ``(text)`` of an irrational
+    Quad."""
+    ratio = _rational_parts(c)
+    if ratio is not None:
+        return ratio[0] < 0, _ratio_text(abs(ratio[0]), ratio[1])
+    if isinstance(c, Quad):
+        return False, f"({c.text()})"
+    negative = c._nums[-1] < 0
+    return negative, f"({(-c if negative else c).compact()})"
+
+
+def _joined(terms: list[tuple[bool, str]], space: str = " ") -> str:
+    """The sum of ``(negative, body)`` terms, e.g. ``a - b + c``: the first
+    term carries ``-`` alone, later ones `` - `` or `` + ``, without the
+    spaces when ``space`` is empty; ``0`` when there are no terms."""
+    if not terms:
+        return "0"
+    (negative, first), rest = terms[0], terms[1:]
+    signs = (f"{space}+{space}", f"{space}-{space}")
+    return ("-" if negative else "") + first + "".join([signs[n] + b for n, b in rest])
+
+
 def render_scalar(x: Scalar) -> str:
     """Canonical text form, parseable back by :func:`parse_scalar`."""
     dom = domain_of(x)
@@ -904,84 +930,49 @@ def render_scalar(x: Scalar) -> str:
     return x.text()
 
 
-def _split_signed_terms(s: str) -> list[str]:
-    """Split on top-level + and -, keeping signs attached to terms."""
-    s = s.replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar text")
-    terms: list[str] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > start:
-            terms.append(s[start:i])
-            start = i
-    terms.append(s[start:])
-    return [t for t in terms if t not in ("", "+")]
-
-
 _RAT_RE = r"\d+(?:/\d+)?"
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse rational {text!r}") from None
+def _parse_terms(text: str, symbol: str | None, degree: int | None = None) -> list:
+    """Ascending coefficients of ``text``, a signed sum of terms ``c``,
+    ``c*s`` and ``c*s^k`` in the symbol ``s`` (constants only when
+    ``symbol`` is None), padded to ``degree + 1`` entries when a degree
+    is given and never longer.
 
-
-def _parse_poly(text: str, var: str) -> Poly:
+    c is written as ``_RAT_RE``, digits or digits/digits; before s it may
+    be left out (c = 1) or joined to s without ``*``.  Only the first term
+    may go without a sign; ``text`` comes stripped, and whitespace may
+    stand around the signs and at the end only.  Terms of the same power
+    add up.
+    """
+    sym = "(?!)" if symbol is None else re.escape(symbol)  # (?!) never matches
     term_re = re.compile(
-        rf"^([+-]?)({_RAT_RE})?(?:\*?{re.escape(var)}(?:\^(\d+))?)?$"
+        rf"([+-]?)\s*(?:({_RAT_RE})(?:\*(?={sym}))?)?(?:({sym})(?:\^(\d+))?)?\s*"
     )
     coeffs: dict[int, Fraction] = {}
-    saw_term = False
-    for term in _split_signed_terms(text):
-        m = term_re.match(term)
-        if not m or (m.group(2) is None and var not in term):
-            raise ValueError(f"cannot parse polynomial term {term!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        coeff = _parse_rational(m.group(2)) if m.group(2) else Fraction(1)
-        if var in term:
-            power = int(m.group(3)) if m.group(3) else 1
-        else:
-            power = 0
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
-        saw_term = True
-    if not saw_term:
-        raise ValueError(f"cannot parse polynomial {text!r}")
-    size = max(coeffs) + 1 if coeffs else 0
-    dense = [coeffs.get(k, Fraction(0)) for k in range(size)]
-    return Poly(dense, var)
-
-
-def _parse_quad(text: str, d: int) -> Quad:
-    radical_re = re.compile(rf"^([+-]?)({_RAT_RE})?\*?sqrt\((-?\d+)\)$")
-    rational_re = re.compile(rf"^([+-]?{_RAT_RE})$")
-    a = Fraction(0)
-    b = Fraction(0)
-    for term in _split_signed_terms(text):
-        m = radical_re.match(term)
-        if m:
-            if int(m.group(3)) != d:
-                raise ValueError(f"radicand {m.group(3)} does not match sqrt({d})")
-            sign = -1 if m.group(1) == "-" else 1
-            b += sign * (_parse_rational(m.group(2)) if m.group(2) else Fraction(1))
-            continue
-        m = rational_re.match(term)
-        if m:
-            a += _parse_rational(m.group(1))
-            continue
-        raise ValueError(f"cannot parse quadratic term {term!r}")
-    return Quad(a, b, d)
+    pos = 0
+    while pos < len(text) or not coeffs:
+        m = term_re.match(text, pos)
+        sign, c, s, k = m.groups()
+        if not (c or s) or (pos and not sign):
+            raise ValueError(f"cannot parse term {text[pos:]!r} of {text!r}")
+        power = (int(k) if k else 1) if s else 0
+        if degree is not None and power > degree:
+            raise ValueError(f"power {power} of {symbol} above {degree} in {text!r}")
+        try:
+            value = Fraction(c) if c else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"cannot parse rational {c!r}") from None
+        coeffs[power] = coeffs.get(power, 0) + (-value if sign == "-" else value)
+        pos = m.end()
+    size = max(coeffs) + 1 if degree is None else degree + 1
+    return [coeffs.get(k, Fraction(0)) for k in range(size)]
 
 
 def parse_scalar(text: str, dom: Domain) -> Scalar:
-    """Parse the canonical text form of a scalar in the given domain."""
+    """Parse the text form of a scalar in ``dom``: a base-10 ``int`` in
+    the int domain, elsewhere a sum of terms (:func:`_parse_terms`) in
+    no symbol (rat), the indeterminate (poly) or ``sqrt(d)`` (quad)."""
     text = text.strip()
     if dom.kind == "int":
         try:
@@ -989,7 +980,7 @@ def parse_scalar(text: str, dom: Domain) -> Scalar:
         except ValueError:
             raise ValueError(f"cannot parse integer {text!r}") from None
     if dom.kind == "rat":
-        return _parse_rational(text)
+        return _parse_terms(text, None, 0)[0]
     if dom.kind == "poly":
-        return _parse_poly(text, dom.var)
-    return _parse_quad(text, dom.d)
+        return Poly(_parse_terms(text, dom.var), dom.var)
+    return Quad(*_parse_terms(text, f"sqrt({dom.d})", 1), dom.d)

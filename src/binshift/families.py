@@ -229,11 +229,7 @@ def recurrences_table() -> list[RecurrenceRow]:
         b1 = -rec.poly.coefficient_of_power(1)
         b2 = rec.poly.coefficient_of_power(0)
         g1, g2, ginit = TABLE1_GOLDEN[name]
-        ok = (
-            b1 == g1
-            and b2 == g2
-            and all(x == y for x, y in zip(rec.init, ginit))
-        )
+        ok = b1 == g1 and b2 == g2 and rec.init == ginit
         rows.append(RecurrenceRow(name, b1, b2, rec.init, ok))
     return rows
 

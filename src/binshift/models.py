@@ -90,10 +90,7 @@ class BinetForm:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BinetForm):
-            return len(self._terms) == len(other._terms) and all(
-                c1 == c2 and r1 == r2
-                for (c1, r1), (c2, r2) in zip(self._terms, other._terms)
-            )
+            return self._terms == other._terms
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -31,10 +31,11 @@ from collections.abc import Iterable
 from .errors import NonInvertibleDomain, NonMonic, PrefixTooShort
 from .exactnum import (
     Domain,
-    Poly,
-    Quad,
     Scalar,
+    _joined,
     _on_ints,
+    _signed_text,
+    _term,
     domain_of,
     join_domains,
     one,
@@ -122,48 +123,16 @@ class CharPoly:
     def text(self, var: str = "X") -> str:
         """Rendering like ``X^2 - 3*X + 1``; composite coefficients are
         parenthesized, e.g. ``X^2 - (2r+3)*X + (r^2+3r+2)``."""
-        parts: list[str] = []
-        d = self.degree
-        zero_s = zero(self._domain)
-        for i, c in enumerate(self._coeffs):
-            power = d - i
-            if c == zero_s:
-                continue
-            if power == 0:
-                xpart = ""
-            elif power == 1:
-                xpart = var
-            else:
-                xpart = f"{var}^{power}"
-            if isinstance(c, Poly) and not c.is_constant:
-                if c.coeffs[-1] < 0:
-                    sign, body = "-", f"({(-c).compact()})"
-                else:
-                    sign, body = "+", f"({c.compact()})"
-            elif isinstance(c, Quad) and not c.is_rational:
-                sign, body = "+", f"({c.text()})"
-            else:
-                if isinstance(c, Poly):
-                    c = c.constant_value()
-                elif isinstance(c, Quad):
-                    c = c.rational_value()
-                sign = "-" if c < 0 else "+"
-                body = str(abs(c))
-            if xpart:
-                body = xpart if body == "1" else f"{body}*{xpart}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f"{sign} {body}")
-        if not parts:
-            return "0"
-        return " ".join(parts)
+        terms = []
+        for power, c in zip(range(self.degree, -1, -1), self._coeffs):
+            if c != 0:
+                negative, body = _signed_text(c)
+                terms.append((negative, _term(body, var, power)))
+        return _joined(terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CharPoly):
-            return len(self._coeffs) == len(other._coeffs) and all(
-                x == y for x, y in zip(self._coeffs, other._coeffs)
-            )
+            return self._coeffs == other._coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -226,9 +195,7 @@ class Recurrence:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Recurrence):
-            return self._poly == other._poly and len(self._init) == len(
-                other._init
-            ) and all(x == y for x, y in zip(self._init, other._init))
+            return self._poly == other._poly and self._init == other._init
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -172,11 +172,7 @@ class TruncSeries:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncSeries):
-            return (
-                self._kind == other._kind
-                and len(self._coeffs) == len(other._coeffs)
-                and all(x == y for x, y in zip(self._coeffs, other._coeffs))
-            )
+            return self._kind == other._kind and self._coeffs == other._coeffs
         return NotImplemented
 
     def __hash__(self) -> int:

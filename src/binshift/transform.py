@@ -125,9 +125,7 @@ class SequencePrefix:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SequencePrefix):
-            if len(self._values) != len(other._values):
-                return False
-            return all(x == y for x, y in zip(self._values, other._values))
+            return self._values == other._values
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -60,6 +60,23 @@ def shifts_st(draw, dom):
     return Poly(draw(st.lists(fractions_st, max_size=3)), "x")
 
 
+@st.composite
+def char_coefficients_st(draw):
+    """Two to six coefficients over int, rat, poly(x), poly(r) or quad(5),
+    the first nonzero and often not 1: a characteristic polynomial's."""
+    kind = draw(st.sampled_from(("int", "rat", "x", "r", "quad")))
+    if kind == "int":
+        values = st.integers(min_value=-50, max_value=50)
+    elif kind == "rat":
+        values = fractions_st
+    elif kind == "quad":
+        values = st.builds(lambda a, b: Quad(a, b, 5), fractions_st, fractions_st)
+    else:
+        values = st.lists(fractions_st, max_size=4).map(lambda cs: Poly(cs, kind))
+    leading = draw(values.filter(lambda v: v != 0))
+    return [leading, *draw(st.lists(values, min_size=1, max_size=5))]
+
+
 def components(v):
     if isinstance(v, Quad):
         return [v.a, v.b]

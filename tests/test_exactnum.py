@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binshift import exactnum
+from binshift import cli, exactnum
 from binshift.errors import DivisionByZero, DomainMismatch, NonInvertibleDomain
 from binshift.exactnum import (
     INT,
@@ -30,7 +30,7 @@ from binshift.exactnum import (
     unify,
     zero,
 )
-from binshift.recurrence import _taylor_shift
+from binshift.recurrence import CharPoly, _taylor_shift
 from binshift.series import _binomial_rows, _horner_in_u
 from binshift.transform import SequencePrefix, _table, apply_transform
 
@@ -274,6 +274,44 @@ class TestArithmeticBuildsNoFraction:
         _ = result.a if isinstance(result, Quad) else result.coeffs
         assert fractions_built[0] > 0
 
+    @pytest.mark.parametrize(
+        "render",
+        [
+            lambda v: v["p"].text(),
+            lambda v: v["p"].compact(),
+            lambda v: v["q"].text(),
+            lambda v: [c.text() for c in v["chars"]],
+            lambda v: [c.text("Y") for c in v["chars"]],
+            lambda v: [cli._json_value(x) for x in v["json"]],
+            lambda v: cli._check_output_size([v["p"], v["p"] * 3], 7, 1),
+        ],
+        ids=[
+            "Poly.text",
+            "Poly.compact",
+            "Quad.text",
+            "CharPoly.text",
+            "CharPoly.text(Y)",
+            "cli._json_value",
+            "cli._check_output_size",
+        ],
+    )
+    def test_rendering_builds_none(self, fractions_built, render):
+        q = Quad(Fraction(1, 2), Fraction(-3, 4), 5)
+        p = Poly((Fraction(1, 2), 3, Fraction(-2, 7)), "x")
+        values = {
+            "p": p,
+            "q": q,
+            "chars": [
+                CharPoly([Fraction(2, 3), Fraction(-1, 2), 0, 5]),
+                CharPoly([3, -p, Poly((Fraction(-1, 3),), "x")]),
+                CharPoly([1, q, Quad(-2, 0, 5)]),
+            ],
+            "json": [4, Fraction(7, 2), Fraction(6), p, Poly((-4,), "x"), q, Quad(3, 0, 5)],
+        }
+        fractions_built[0] = 0
+        render(values)
+        assert fractions_built[0] == 0
+
 
 class TestQuadPowerReducesOnce:
     """Quad powers multiply raw numerator pairs: ``Quad ** 20`` brings
@@ -435,6 +473,46 @@ class TestRenderParse:
     def test_parse_zero_denominator_is_value_error(self, text, dom):
         with pytest.raises(ValueError, match="cannot parse rational '1/0'"):
             parse_scalar(text, dom)
+
+    @pytest.mark.parametrize(
+        "text, dom, value",
+        [
+            ("1/2 + 1/3", RAT, Fraction(5, 6)),
+            (" -3 ", RAT, Fraction(-3)),
+            ("- 1/2 -x^2 +  3x ", poly_domain("x"), Poly((Fraction(-1, 2), 3, -1), "x")),
+            ("2sqrt(5) - 1/2 + sqrt(5)", quad_domain(5), Quad(Fraction(-1, 2), 3, 5)),
+        ],
+    )
+    def test_parse_sums_of_terms(self, text, dom, value):
+        got = parse_scalar(text, dom)
+        assert got == value and domain_of(got) == dom
+
+    @pytest.mark.parametrize(
+        "text, dom",
+        [
+            ("1.5", RAT),
+            ("1e3", RAT),
+            ("1_0/3", RAT),
+            ("1.5", quad_domain(5)),
+            ("1.5*x", poly_domain("x")),
+            ("1 2*x", poly_domain("x")),
+            ("x ^ 1 0", poly_domain("x")),
+            ("1 2 + s qrt(5)", quad_domain(5)),
+            ("sqrt( 5 )", quad_domain(5)),
+            ("3 +", poly_domain("x")),
+            ("2*", poly_domain("x")),
+            ("*x", poly_domain("x")),
+            ("sqrt(5)^2", quad_domain(5)),
+        ],
+    )
+    def test_parse_rejects_text_outside_the_term_grammar(self, text, dom):
+        with pytest.raises(ValueError):
+            parse_scalar(text, dom)
+
+    @given(st.lists(fractions_st, max_size=5), st.sampled_from(("x", "r")))
+    def test_compact_round_trip(self, coeffs, var):
+        p = Poly(coeffs, var)
+        assert parse_scalar(p.compact(), poly_domain(p.var)) == p
 
     @given(fractions_st)
     def test_rational_round_trip(self, q):

@@ -5,7 +5,9 @@ representation binshift used before it stored int numerators over one
 denominator.  Their arithmetic is the schoolbook form on Fractions, and
 powers are repeated products, so they share no code with the library.
 Every operator of the library classes must give the value, the text and
-the exception the reference gives.
+the exception the reference gives.  ``CharPoly.text`` is checked against
+``charpoly_text``, its one-branch-per-coefficient-kind form on the
+reference classes.
 """
 
 from fractions import Fraction
@@ -15,6 +17,9 @@ from hypothesis import strategies as st
 
 from binshift.errors import DivisionByZero, DomainMismatch
 from binshift.exactnum import Poly, Quad, render_scalar
+from binshift.recurrence import CharPoly
+
+from exact_strategies import char_coefficients_st
 
 
 def _is_int(v):
@@ -402,3 +407,64 @@ class TestAgainstFractionReference:
         assert (x == Fraction(n, 7)) is (ox == Fraction(n, 7))
         if x == y:
             assert hash(x) == hash(y)
+
+
+def reference(c):
+    """The reference value of a library scalar."""
+    if isinstance(c, Poly):
+        return FracPoly(c.coeffs, c.var)
+    if isinstance(c, Quad):
+        return FracQuad(c.a, c.b, c.d)
+    return c
+
+
+def charpoly_text(coeffs, var="X"):
+    """``CharPoly.text`` of the descending ``coeffs``, written with one
+    branch per coefficient kind and its own sign loop, on the reference
+    classes."""
+    parts = []
+    d = len(coeffs) - 1
+    for i, c in enumerate(map(reference, coeffs)):
+        power = d - i
+        if c == 0:
+            continue
+        if power == 0:
+            xpart = ""
+        elif power == 1:
+            xpart = var
+        else:
+            xpart = f"{var}^{power}"
+        if isinstance(c, FracPoly) and not c.is_constant:
+            if c.coeffs[-1] < 0:
+                sign, body = "-", f"({(-c).compact()})"
+            else:
+                sign, body = "+", f"({c.compact()})"
+        elif isinstance(c, FracQuad) and c.b != 0:
+            sign, body = "+", f"({c.text()})"
+        else:
+            if isinstance(c, FracPoly):
+                c = c.constant_value()
+            elif isinstance(c, FracQuad):
+                c = c.a
+            sign = "-" if c < 0 else "+"
+            body = str(abs(c))
+        if xpart:
+            body = xpart if body == "1" else f"{body}*{xpart}"
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f"{sign} {body}")
+    if not parts:
+        return "0"
+    return " ".join(parts)
+
+
+class TestCharPolyText:
+    @settings(max_examples=200, deadline=None)
+    @given(char_coefficients_st(), st.sampled_from(("X", "Y")))
+    @example([1, Poly((-1, -2), "r"), Poly((-1, 1, 1), "r")], "X")
+    @example([Fraction(-2, 3), Quad(1, -1, 5), 0, Quad(Fraction(1, 2), 0, 5)], "Y")
+    @example([Poly((0, Fraction(-3, 2)), "x"), Poly((4,), "x"), Poly((), "x")], "Y")
+    def test_matches_reference(self, coeffs, var):
+        p = CharPoly(coeffs)
+        assert p.text(var) == charpoly_text(p.coeffs, var)
