@@ -46,15 +46,18 @@ shift, short prefixes and very wide slots keep one run per column.
 Every result is built once with ``_from_int_columns`` over ``D * e**j``.
 ``_rational_parts`` reads p and q off a rational-valued scalar.  Only the
 int domain and an irrational Quad shift run the kernel on the scalars.
+``recurrence.unroll`` and ``recurrence.apply_char_operator`` call
+``_int_columns`` and ``_from_int_columns`` themselves: there the
+coefficients, not a shift, bring the second denominator.
 
 Scalar text is decided here alone.  ``_joined`` writes every signed sum,
 ``a - b + c`` or compact ``a-b+c``, for ``Poly.text``, ``Poly.compact``,
 ``Quad.text`` and ``recurrence.CharPoly.text``, from terms read off the
 int numerators, so rendering builds no Fraction.  :func:`parse_scalar`
-reads the rat, poly and quad domains with one term grammar,
-``_parse_terms``: a signed sum of ``c``, ``c*s`` and ``c*s^k`` with c
-written as ``_RAT_RE`` (digits, or digits/digits) and s absent, the
-indeterminate or ``sqrt(d)``.
+reads every domain with one term grammar, ``_parse_terms``: a signed
+sum of ``c``, ``c*s`` and ``c*s^k`` with c written as ``_RAT_RE``
+(digits, or digits/digits) and s absent, the indeterminate or
+``sqrt(d)``; the int domain takes the integral values of the rat one.
 It is stricter than the CLI's literal grammar, ``Fraction``'s, which
 takes decimals and exponents such as ``1e50`` and no sums.
 """
@@ -931,13 +934,16 @@ def render_scalar(x: Scalar) -> str:
 
 
 _RAT_RE = r"\d+(?:/\d+)?"
+# Highest power of the indeterminate that parse_scalar reads; see there.
+_MAX_PARSE_DEGREE = 10_000
 
 
 def _parse_terms(text: str, symbol: str | None, degree: int | None = None) -> list:
     """Ascending coefficients of ``text``, a signed sum of terms ``c``,
     ``c*s`` and ``c*s^k`` in the symbol ``s`` (constants only when
     ``symbol`` is None), padded to ``degree + 1`` entries when a degree
-    is given and never longer.
+    is given and never longer; without one, a power above
+    ``_MAX_PARSE_DEGREE`` raises ``ValueError`` before any list is built.
 
     c is written as ``_RAT_RE``, digits or digits/digits; before s it may
     be left out (c = 1) or joined to s without ``*``.  Only the first term
@@ -949,6 +955,7 @@ def _parse_terms(text: str, symbol: str | None, degree: int | None = None) -> li
     term_re = re.compile(
         rf"([+-]?)\s*(?:({_RAT_RE})(?:\*(?={sym}))?)?(?:({sym})(?:\^(\d+))?)?\s*"
     )
+    top = _MAX_PARSE_DEGREE if degree is None else degree
     coeffs: dict[int, Fraction] = {}
     pos = 0
     while pos < len(text) or not coeffs:
@@ -957,8 +964,8 @@ def _parse_terms(text: str, symbol: str | None, degree: int | None = None) -> li
         if not (c or s) or (pos and not sign):
             raise ValueError(f"cannot parse term {text[pos:]!r} of {text!r}")
         power = (int(k) if k else 1) if s else 0
-        if degree is not None and power > degree:
-            raise ValueError(f"power {power} of {symbol} above {degree} in {text!r}")
+        if power > top:
+            raise ValueError(f"power {power} of {symbol} above {top} in {text!r}")
         try:
             value = Fraction(c) if c else Fraction(1)
         except ZeroDivisionError:
@@ -970,17 +977,25 @@ def _parse_terms(text: str, symbol: str | None, degree: int | None = None) -> li
 
 
 def parse_scalar(text: str, dom: Domain) -> Scalar:
-    """Parse the text form of a scalar in ``dom``: a base-10 ``int`` in
-    the int domain, elsewhere a sum of terms (:func:`_parse_terms`) in
-    no symbol (rat), the indeterminate (poly) or ``sqrt(d)`` (quad)."""
+    """Parse the text form of a scalar in ``dom``: a sum of terms
+    (:func:`_parse_terms`) in no symbol (int and rat, the int domain
+    rejecting a value that is not an integer), the indeterminate (poly)
+    or ``sqrt(d)`` (quad).
+
+    A poly text may name powers up to ``_MAX_PARSE_DEGREE`` = 10,000; a
+    higher one raises ``ValueError`` before the dense coefficient list is
+    built, so a short text cannot ask for millions of coefficients.  The
+    cap is far above the degrees that CLI output renders to: at most 149,
+    term 150 of wpoly (``cli.MAX_POLY_INDEX``).
+    """
     text = text.strip()
-    if dom.kind == "int":
-        try:
-            return int(text, 10)
-        except ValueError:
-            raise ValueError(f"cannot parse integer {text!r}") from None
-    if dom.kind == "rat":
-        return _parse_terms(text, None, 0)[0]
+    if dom.kind in ("int", "rat"):
+        value = _parse_terms(text, None, 0)[0]
+        if dom.kind == "rat":
+            return value
+        if value.denominator != 1:
+            raise ValueError(f"cannot parse integer {text!r}")
+        return value.numerator
     if dom.kind == "poly":
         return Poly(_parse_terms(text, dom.var), dom.var)
     return Quad(*_parse_terms(text, f"sqrt({dom.d})", 1), dom.d)

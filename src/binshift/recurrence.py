@@ -19,6 +19,17 @@ the recurrence t_j <- t_j - r * t_{j-1}, d(d+1)/2 multiply-adds with no
 binomial coefficient and no power of r.  Every shift but an irrational
 Quad runs the passes on native ints, lowered by ``exactnum._on_ints``.
 
+:func:`unroll` and :func:`apply_char_operator` run on native ints for
+every recurrence whose coefficients are rational, whatever the domain
+of its terms.  With p_k = P_k/E over one denominator E and the terms
+lowered to int columns over one common denominator D
+(``exactnum._int_columns``), alpha_n = D E^n a_n satisfies
+alpha_n = -(sum_k P_k E^(k-1) alpha_{n-k}) on ints, and
+D E (P(S) a)_n = sum_j P_{d-j} A_{n+j} on the numerators A; each result
+is built once with ``exactnum._from_int_columns``, over D E^n and over
+the one denominator D E.  Only an irrational Quad or a non-constant
+Poly coefficient keeps the loops on the scalars.
+
 Results of arithmetic on values of one joined domain are built by the
 unchecked ``_of`` constructors, which skip the per-value join of
 ``unify``; the public constructors keep it.
@@ -26,12 +37,16 @@ unchecked ``_of`` constructors, which skip the per-value join of
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
+from itertools import accumulate, repeat
 
 from .errors import NonInvertibleDomain, NonMonic, PrefixTooShort
 from .exactnum import (
     Domain,
     Scalar,
+    _from_int_columns,
+    _int_columns,
     _joined,
     _on_ints,
     _signed_text,
@@ -207,19 +222,48 @@ class Recurrence:
 
 
 def unroll(rec: Recurrence, n_max: int) -> SequencePrefix:
-    """The prefix a_0..a_{n_max} determined by the recurrence."""
+    """The prefix a_0..a_{n_max} determined by the recurrence.
+
+    With rational coefficients p_k = P_k/E over one denominator E and
+    initial terms lowered to int columns A over one denominator D
+    (``exactnum._int_columns``), alpha_n = D E^n a_n satisfies
+
+        alpha_n = -(sum_k P_k E^(k-1) alpha_{n-k}),  alpha_i = A_i E^i,
+
+    on the ints of each column, and output n is built back once over
+    D E^n.  Only an irrational Quad or a non-constant Poly coefficient
+    keeps the loop on the scalars; the int domain runs it on its ints.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    d = rec.degree
-    p = rec.poly.coeffs
-    vals = list(rec.init[: n_max + 1])
-    zero_s = zero(rec.domain)
+    dom = rec.domain
+    coeffs = rec.poly.coeffs
+    init = list(rec.init[: n_max + 1])
+    if dom.kind == "int":
+        return SequencePrefix._of(_continued(coeffs, init, n_max), dom)
+    (nums, *radical), e = _int_columns(coeffs, dom)
+    if any(map(any, radical)):
+        return SequencePrefix._of(_continued(coeffs, init, n_max, zero(dom)), dom)
+    e_powers = list(accumulate(repeat(e, len(coeffs) - 1), operator.mul, initial=1))
+    c = [n * ek // e for n, ek in zip(nums, e_powers)]
+    columns, den = _int_columns(init, dom)
+    columns = [
+        _continued(c, list(map(operator.mul, col, e_powers)), n_max) for col in columns
+    ]
+    return SequencePrefix._of(_from_int_columns(columns, den, e, dom), dom)
+
+
+def _continued(c, vals: list, n_max: int, acc0=0) -> list:
+    """``vals`` (d initial terms or fewer, extended in place) continued to
+    n_max by vals_n = -(sum_k c_k vals_{n-k}) for k = 1..d, each sum
+    started from ``acc0``; d + 1 is the length of ``c``."""
+    d = len(c) - 1
     for n in range(d, n_max + 1):
-        acc = zero_s
+        acc = acc0
         for k in range(1, d + 1):
-            acc = acc - p[k] * vals[n - k]
+            acc = acc - c[k] * vals[n - k]
         vals.append(acc)
-    return SequencePrefix._of(vals, rec.domain)
+    return vals
 
 
 def apply_char_operator(p: CharPoly, a: PrefixLike) -> SequencePrefix:
@@ -227,6 +271,14 @@ def apply_char_operator(p: CharPoly, a: PrefixLike) -> SequencePrefix:
 
     The output is d terms shorter than the input; a is annihilated by P
     exactly when every output term is zero.
+
+    With rational coefficients p_k = P_k/E over one denominator E and the
+    terms of a lowered to int columns A over one denominator D
+    (``exactnum._int_columns``), D E (P(S) a)_n = sum_j P_{d-j} A_{n+j}
+    on the ints of each column, and every output is built back once over
+    the one denominator D E.  Only an irrational Quad or a non-constant
+    Poly coefficient keeps the sums on the scalars; the int domain runs
+    them on its ints.
     """
     a = as_prefix(a)
     d = p.degree
@@ -237,14 +289,27 @@ def apply_char_operator(p: CharPoly, a: PrefixLike) -> SequencePrefix:
     target = join_domains(p.domain, a.domain)
     coeffs = p.promoted(target).coeffs
     vals = a.promoted(target).values
-    zero_s = zero(target)
+    if target.kind == "int":
+        return SequencePrefix._of(_operator_sums(coeffs, vals), target)
+    (nums, *radical), e = _int_columns(coeffs, target)
+    if any(map(any, radical)):
+        return SequencePrefix._of(_operator_sums(coeffs, vals, zero(target)), target)
+    columns, den = _int_columns(vals, target)
+    columns = [_operator_sums(nums, col) for col in columns]
+    return SequencePrefix._of(_from_int_columns(columns, den * e, 1, target), target)
+
+
+def _operator_sums(c, vals, acc0=0) -> list:
+    """Entry n is sum_j c_{d-j} vals_{n+j} for j = 0..d, started from
+    ``acc0``, for n = 0..len(vals)-1-d; d + 1 is the length of ``c``."""
+    d = len(c) - 1
     out = []
     for n in range(len(vals) - d):
-        acc = zero_s
+        acc = acc0
         for j in range(d + 1):
-            acc = acc + coeffs[d - j] * vals[n + j]
+            acc = acc + c[d - j] * vals[n + j]
         out.append(acc)
-    return SequencePrefix._of(out, target)
+    return out
 
 
 def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:

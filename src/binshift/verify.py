@@ -30,7 +30,6 @@ which names everything needed to replay that case.
 from __future__ import annotations
 
 import math
-import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
@@ -466,6 +465,8 @@ def run_suite(
         raise ValueError("cases must be positive")
     if depth < 1:
         raise ValueError("depth must be positive")
+    import random  # here, not at the top: most CLI calls never verify
+
     results = []
     for name in selected:
         for prop_name, prop in _SUITES[name]:

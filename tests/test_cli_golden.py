@@ -36,6 +36,8 @@ CASES = [
     ("table", "segments", "--format", "csv"),
     ("verify", "all", "--seed", "3", "--cases", "5"),
     ("verify", "identities", "--seed", "7919", "--cases", "6", "--format", "json"),
+    ("verify", "rootshift", "--seed", "7919", "--cases", "20", "--format", "json"),
+    ("verify", "all", "--seed", "12345", "--cases", "20", "--length", "30"),
     ("family",),
     ("family", "--format", "json"),
     ("family", "--format", "csv"),

@@ -509,6 +509,32 @@ class TestRenderParse:
         with pytest.raises(ValueError):
             parse_scalar(text, dom)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1 + 2", 3), (" -7 ", -7), ("+5", 5), ("4/2", 2), ("-0", 0),
+         ("3 - 1/2 + 1/2", 3)],
+    )
+    def test_int_domain_reads_the_term_grammar(self, text, value):
+        got = parse_scalar(text, INT)
+        assert got == value and type(got) is int
+        assert parse_scalar(text, RAT) == value
+
+    @pytest.mark.parametrize("text", ["1_0", "1/2", "1.5", "1e3", "1 2", "", "1/0"])
+    def test_int_domain_rejects_what_rat_rejects_and_fractions(self, text):
+        with pytest.raises(ValueError):
+            parse_scalar(text, INT)
+
+    def test_poly_power_above_the_cap_raises(self):
+        cap = exactnum._MAX_PARSE_DEGREE
+        assert cap > cli.MAX_POLY_INDEX
+        for text in (f"x^{cap + 1}", "x^1000000", f"1 + x^{cap} - 2x^{10 * cap}"):
+            with pytest.raises(ValueError, match="above"):
+                parse_scalar(text, poly_domain("x"))
+
+    def test_poly_round_trip_at_the_cap(self):
+        p = Poly([Fraction(1, 2), *[0] * (exactnum._MAX_PARSE_DEGREE - 1), -3], "x")
+        assert parse_scalar(render_scalar(p), poly_domain("x")) == p
+
     @given(st.lists(fractions_st, max_size=5), st.sampled_from(("x", "r")))
     def test_compact_round_trip(self, coeffs, var):
         p = Poly(coeffs, var)

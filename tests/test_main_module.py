@@ -62,7 +62,8 @@ def test_cli_import_loads_no_heavy_modules():
 
 
 def test_plain_family_call_imports_no_heavy_modules():
-    # json and csv are imported only by the format that prints them.
+    # json and csv are imported only by the format that prints them, random
+    # only by verify.
     proc = run_python("-S", "-B", "-X", "importtime", "-m", "binshift", "family")
     assert proc.returncode == 0 and proc.stdout.startswith("fibonacci ")
     imported = {
@@ -71,4 +72,4 @@ def test_plain_family_call_imports_no_heavy_modules():
         if line.startswith("import time:")
     }
     assert "binshift.cli" in imported
-    assert imported.isdisjoint({*HEAVY, "json", "csv"})
+    assert imported.isdisjoint({*HEAVY, "json", "csv", "random"})

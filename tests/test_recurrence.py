@@ -1,5 +1,7 @@
 """Characteristic polynomials, root shifts, and transformed recurrences."""
 
+import contextlib
+import functools
 import math
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binshift import recurrence
 from binshift.errors import (
     DomainMismatch,
     NonInvertibleDomain,
@@ -14,13 +17,17 @@ from binshift.errors import (
     PrefixTooShort,
 )
 from binshift.exactnum import (
+    INT,
     RAT,
     Poly,
     Quad,
+    _rational_parts,
     domain_of,
     join_domains,
     one,
+    poly_domain,
     promote,
+    quad_domain,
     zero,
 )
 from binshift.recurrence import (
@@ -37,7 +44,7 @@ from binshift.recurrence import (
 from binshift.transform import SequencePrefix, apply_transform
 from binshift.verify import _naive_substitution_shift
 
-from exact_strategies import assert_same_scalars, prefixes_st, shifts_st
+from exact_strategies import RADICANDS, assert_same_scalars, prefixes_st, shifts_st
 
 FIB_POLY = CharPoly((1, -1, -1))
 MERSENNE_POLY = CharPoly((1, -3, 2))
@@ -370,3 +377,214 @@ class TestShiftBuildsFewFractions:
         monkeypatch.undo()
         assert built[0] <= d + 3
         assert got == want
+
+
+# The scalar loops of unroll and apply_char_operator, as they ran for
+# every domain before the int-column route (test oracles).
+
+
+def unroll_on_scalars(rec, n_max):
+    d = rec.degree
+    p = rec.poly.coeffs
+    vals = list(rec.init[: n_max + 1])
+    zero_s = zero(rec.domain)
+    for n in range(d, n_max + 1):
+        acc = zero_s
+        for k in range(1, d + 1):
+            acc = acc - p[k] * vals[n - k]
+        vals.append(acc)
+    return vals
+
+
+def char_operator_on_scalars(p, a):
+    d = p.degree
+    target = join_domains(p.domain, a.domain)
+    coeffs = p.promoted(target).coeffs
+    vals = a.promoted(target).values
+    zero_s = zero(target)
+    out = []
+    for n in range(len(vals) - d):
+        acc = zero_s
+        for j in range(d + 1):
+            acc = acc + coeffs[d - j] * vals[n + j]
+        out.append(acc)
+    return out
+
+
+DOMAINS = {"int": INT, "rat": RAT, "poly": poly_domain("x")}
+# fractions_st's values, drawn without st.fractions' per-draw flatmap
+ratios_st = st.builds(Fraction, st.integers(min_value=-30, max_value=30), st.integers(1, 6))
+
+
+@functools.lru_cache(maxsize=None)
+def domain_values_st(kind, d, rational):
+    """Values of int, rat, quad(d) or poly(x): for ``rational``, only
+    ints, Fractions, Quads with zero radical part and constant Polys;
+    otherwise any Quad and Polys of degree up to 1, as wpoly's 3x.
+    Cached: hypothesis validates a new strategy object on its first draw."""
+    if kind == "int":
+        return st.integers(min_value=-50, max_value=50)
+    if kind == "rat":
+        return ratios_st
+    if kind == "quad":
+        radical = st.just(0) if rational else ratios_st
+        return st.builds(lambda a, b: Quad(a, b, d), ratios_st, radical)
+    return st.lists(ratios_st, max_size=1 if rational else 2).map(
+        lambda cs: Poly(cs, "x")
+    )
+
+
+@st.composite
+def domain_st(draw):
+    """A domain kind of ``tests/exact_strategies.py``, its Domain and,
+    for quad, the radicand."""
+    kind = draw(st.sampled_from(("int", "rat", "quad", "poly")))
+    d = draw(st.sampled_from(RADICANDS))
+    return kind, (quad_domain(d) if kind == "quad" else DOMAINS[kind]), d
+
+
+@st.composite
+def recurrence_and_depth_st(draw):
+    """A monic recurrence of degree 1-5, its coefficients rational or (in
+    quad and poly) often not, its initial terms anywhere in the domain,
+    and an n_max in 0..60."""
+    kind, dom, d = draw(domain_st())
+    degree = draw(st.integers(min_value=1, max_value=5))
+    coefficients = domain_values_st(kind, d, draw(st.booleans()))
+    tail = draw(st.lists(coefficients, min_size=degree, max_size=degree))
+    terms = domain_values_st(kind, d, False)
+    init = draw(st.lists(terms, min_size=degree, max_size=degree))
+    rec = Recurrence(CharPoly([one(dom), *tail], dom), init)
+    return rec, draw(st.integers(min_value=0, max_value=60))
+
+
+@st.composite
+def operator_and_prefix_st(draw):
+    """A characteristic polynomial of degree 1-5, monic or not, with
+    rational or (in quad and poly) often irrational coefficients, and a
+    prefix of d + 1 to d + 61 terms of its domain or of int.  Up to nine
+    terms are drawn; the rest continue them by t_n = c t_{n-1} - t_{n-h},
+    h the number drawn and c a drawn scalar, which keeps a long prefix
+    generic at a few draws."""
+    kind, dom, d = draw(domain_st())
+    degree = draw(st.integers(min_value=1, max_value=5))
+    values = domain_values_st(kind, d, draw(st.booleans()))
+    leading = draw(values.filter(lambda v: v != 0))
+    p = CharPoly([leading, *draw(st.lists(values, min_size=degree, max_size=degree))], dom)
+    size = degree + 1 + draw(st.integers(min_value=0, max_value=60))
+    terms = domain_values_st(draw(st.sampled_from((kind, "int"))), d, False)
+    head = draw(st.lists(terms, min_size=1, max_size=min(size, 9)))
+    c, h = draw(terms), len(head)
+    while len(head) < size:
+        head.append(c * head[-1] - head[-h])
+    return p, SequencePrefix(head)
+
+
+@contextlib.contextmanager
+def loops_on_scalars():
+    """Counts the runs of the recurrence module's two loops on scalars
+    rather than on ints."""
+    runs = [0]
+    originals = recurrence._continued, recurrence._operator_sums
+
+    def counted(loop):
+        def run(c, vals, *rest):
+            runs[0] += not isinstance(vals[0], int)
+            return loop(c, vals, *rest)
+
+        return run
+
+    recurrence._continued, recurrence._operator_sums = map(counted, originals)
+    try:
+        yield runs
+    finally:
+        recurrence._continued, recurrence._operator_sums = originals
+
+
+def irrational(coeffs):
+    return any(_rational_parts(c) is None for c in coeffs)
+
+
+WPOLY = Recurrence(CharPoly((1, -3 * X, 2)), (0, 1))
+SQRT5_REC = Recurrence(CharPoly((1, -SQRT5, -1)), (Quad(1, 1, 5), 2))
+
+
+class TestRecurrenceLoopsDifferential:
+    """unroll and apply_char_operator give, scalar for scalar, what the
+    scalar loops give; the loops run on scalars only for an irrational
+    Quad or a non-constant Poly coefficient."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(recurrence_and_depth_st())
+    # n_max below d - 1, at d - 1 and at d
+    @example((Recurrence(CharPoly((1, Fraction(1, 2), 0, 0, 3)), (1, 2, 3, 4)), 1))
+    @example((Recurrence(CharPoly((1, Fraction(1, 2), 3)), (1, Fraction(2, 3))), 1))
+    @example((Recurrence(CharPoly((1, Quad(1, 0, 5))), (Quad(1, 1, 5),)), 1))
+    @example((WPOLY, 12))
+    @example((SQRT5_REC, 10))
+    # a Quad recurrence whose radical column cancels, and all-zero terms
+    @example((Recurrence(CharPoly((1, Quad(-2, 0, -3))), (Quad(0, 1, -3),)), 9))
+    @example((Recurrence(CharPoly((1, Poly((), "x"), -1)), (Poly((), "x"), 0)), 7))
+    def test_unroll(self, case):
+        rec, n_max = case
+        want = unroll_on_scalars(rec, n_max)
+        with loops_on_scalars() as runs:
+            got = unroll(rec, n_max)
+        assert got.domain == rec.domain
+        assert_same_scalars(got.values, want)
+        assert runs[0] == (rec.domain.kind != "int" and irrational(rec.poly.coeffs))
+
+    @settings(max_examples=250, deadline=None)
+    @given(operator_and_prefix_st())
+    # len(a) == d + 1, a non-monic rational operator, int terms promoted
+    @example((CharPoly((Fraction(-2, 3), 1, Fraction(1, 2))), SequencePrefix([1, 2, 3])))
+    @example((CharPoly((2, Quad(1, 0, 5))), SequencePrefix([Quad(0, 1, 5), 3, 1])))
+    @example((WPOLY.poly, unroll(WPOLY, 9)))
+    @example((SQRT5_REC.poly, unroll(SQRT5_REC, 9)))
+    def test_apply_char_operator(self, case):
+        p, a = case
+        want = char_operator_on_scalars(p, a)
+        with loops_on_scalars() as runs:
+            got = apply_char_operator(p, a)
+        target = join_domains(p.domain, a.domain)
+        assert got.domain == target
+        assert_same_scalars(got.values, want)
+        assert runs[0] == (target.kind != "int" and irrational(p.coeffs))
+
+
+class TestRecurrenceLoopsBuildFewFractions:
+    """On rational coefficients both loops run on int columns: each
+    builds its results and at most two Fractions more (the scalar loops
+    build 137 and 171 on the case below)."""
+
+    REC = Recurrence(
+        CharPoly([1, Fraction(-3, 4), Fraction(5, 2), Fraction(-1, 3), Fraction(2, 5)]),
+        [Fraction(1, 2), Fraction(-4, 3), 5, Fraction(7, 6)],
+    )
+
+    @pytest.fixture
+    def fractions_built(self, monkeypatch):
+        built = [0]
+        original = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        return built
+
+    def test_unroll_degree_4(self, fractions_built):
+        want = unroll_on_scalars(self.REC, 20)
+        fractions_built[0] = 0
+        got = unroll(self.REC, 20)
+        assert fractions_built[0] <= 21 + 2
+        assert list(got.values) == want
+
+    def test_apply_char_operator_on_21_terms(self, fractions_built):
+        a = unroll(self.REC, 20)
+        fractions_built[0] = 0
+        got = apply_char_operator(self.REC.poly, a)
+        assert fractions_built[0] <= 17 + 2
+        assert all(v == 0 for v in got)
+        assert len(got) == 17
