@@ -38,14 +38,18 @@ kernel through ``_on_ints``, on one native-int column.  For a shift
 r = S/e, with S = p and e = q for a rational p/q and S an int polynomial
 for a non-constant Poly shift, a sequence of rat, quad or poly values is
 lowered to int columns over one common denominator with
-``_int_columns``.  Several columns (the two parts of a quad, the
-coefficients of a poly, or the output degree a Poly shift adds) are
-packed Kronecker-style into w-bit slots of one int column, the kernel
-runs once with p or S(2^w), and the slots are read back; at a rational
-shift, short prefixes and very wide slots keep one run per column.
+``_int_columns``; ints and Fractions among them are read into the
+rational column as they are, so callers hand over their inputs without
+promoting them into the target domain.  Several columns (the two parts
+of a quad, the coefficients of a poly, or the output degree a Poly
+shift adds) are packed Kronecker-style into w-bit slots of one int
+column, the kernel runs once with p or S(2^w), and the slots are read
+back; at a rational shift, short prefixes and very wide slots keep one
+run per column.
 Every result is built once with ``_from_int_columns`` over ``D * e**j``.
 ``_rational_parts`` reads p and q off a rational-valued scalar.  Only the
-int domain and an irrational Quad shift run the kernel on the scalars.
+int domain and an irrational Quad shift run the kernel on the scalars,
+and the latter is the one branch that promotes the values first.
 ``recurrence.unroll`` and ``recurrence.apply_char_operator`` call
 ``_int_columns`` and ``_from_int_columns`` themselves: there the
 coefficients, not a shift, bring the second denominator.
@@ -665,12 +669,21 @@ def _int_columns(
     A rat sequence is one column, a quad(d) sequence a rational-part and
     a radical-part column, a poly(x) sequence one column per coefficient
     index (at least one, so all-zero polynomials still yield rows).
+    ``values`` may also hold ints and Fractions that promote into ``dom``:
+    each is read into the rational column as it is (the radical column
+    of a quad gets a zero), so nothing is promoted first.
     :func:`_from_int_columns` builds scalars back from such columns.
     """
     if dom.kind == "rat":
         nums, den = _over_common_denominator(values)
         return [nums], den
-    parts = [v._numerators() for v in values]
+    pad = (0,) if dom.kind == "quad" else ()
+    parts = [
+        v._numerators()
+        if isinstance(v, (Poly, Quad))
+        else ((v.numerator, *pad), v.denominator)
+        for v in values
+    ]
     den = math.lcm(*[d for _, d in parts])
     width = max(1, *[len(nums) for nums, _ in parts])
     columns = [
@@ -724,17 +737,19 @@ def _on_ints(kernel, values: Sequence[Scalar], r: Scalar, dom: Domain) -> list:
     shift of the root shift (|c_nk| = C(N-k, n-k) <= C(N, n-k), a sum of
     at most (x + 1)^N; at N = 2, n = 1 it is 2x + 1, above (x + 1)^n).
 
-    ``values`` are in ``dom`` and ``r`` joins with it.  Write r = S/e with
-    e > 0 an int and S an int polynomial: S = p and e = q for a rational
-    r = p/q, the numerators of r over their denominator for a
-    non-constant Poly.  ``values`` are lowered to C int columns over one
-    common denominator D (:func:`_int_columns`), entry k of each scaled
-    by e^k (skipped when e is 1), so that the kernel run with S gives
-    D * e^n times output n.  At a rational shift one column, the C
-    columns of a short prefix (N < 10 or C * N < 48) and those that need
-    a slot width w (below) over 1,536 bits run the kernel with p one
-    column at a time.  Otherwise entry k is read as the int polynomial
-    t'_k(x) = sum_j col_j[k] x^j (x a formal variable for the two parts
+    ``values`` are in ``dom``, or are ints and Fractions that promote
+    into it, read by :func:`_int_columns` as they are; ``r`` joins with
+    ``dom``.  Write r = S/e with e > 0 an int and S an int polynomial:
+    S = p and e = q for a rational r = p/q, the numerators of r over
+    their denominator for a non-constant Poly.  ``values`` are lowered
+    to C int columns over one common denominator D
+    (:func:`_int_columns`), entry k of each scaled by e^k (skipped when
+    e is 1), so that the kernel run with S gives D * e^n times output n.
+    At a rational shift one column, the C columns of a short prefix
+    (N < 10 or C * N < 48) and those that need a slot width w (below)
+    over 1,536 bits run the kernel with p one column at a time.
+    Otherwise entry k is read as the int polynomial t'_k(x) =
+    sum_j col_j[k] x^j (x a formal variable for the two parts
     of a quad, the indeterminate itself for a poly) and packed
     Kronecker-style as its value at x = 2^w; the kernel runs once, with
     the int p = S(2^w).  Evaluation at 2^w is a ring map from Z[x] to Z,
@@ -751,9 +766,11 @@ def _on_ints(kernel, values: Sequence[Scalar], r: Scalar, dom: Domain) -> list:
     :func:`_unpacked` reads the C + N * deg(S) slots back.  Slots may
     overflow inside the kernel, since only the outputs must fit (the
     transform table's exact division by p^(N-n) is an integer identity).
-    Every output n is built back over D * e^n.  In the int domain
-    everything is an int already, and an irrational Quad shift has no
-    int image: there the kernel runs on the scalars.
+    Every output n is built back over D * e^n, in ``dom``.  In the int
+    domain everything is an int already, and an irrational Quad shift has
+    no int image: there the kernel runs on the scalars, and that branch
+    alone promotes ``values`` into ``dom`` (a Quad times a Fraction is
+    not defined).
     """
     if dom.kind == "int":
         return kernel(list(values), r)
@@ -765,7 +782,7 @@ def _on_ints(kernel, values: Sequence[Scalar], r: Scalar, dom: Domain) -> list:
         shift_nums, e = r._numerators()
         deg, norm = len(shift_nums) - 1, sum(map(abs, shift_nums))
     else:
-        return kernel(list(values), r)
+        return kernel([promote(v, dom) for v in values], r)
     columns, den = _int_columns(values, dom)
     n = len(values) - 1
     if e != 1:

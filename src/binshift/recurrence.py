@@ -276,8 +276,10 @@ def apply_char_operator(p: CharPoly, a: PrefixLike) -> SequencePrefix:
     terms of a lowered to int columns A over one denominator D
     (``exactnum._int_columns``), D E (P(S) a)_n = sum_j P_{d-j} A_{n+j}
     on the ints of each column, and every output is built back once over
-    the one denominator D E.  Only an irrational Quad or a non-constant
-    Poly coefficient keeps the sums on the scalars; the int domain runs
+    the one denominator D E.  Int and rational coefficients or terms are
+    lowered as they are, not promoted into the joined domain first.
+    Only an irrational Quad or a non-constant Poly coefficient keeps the
+    sums on the scalars, which are promoted for it; the int domain runs
     them on its ints.
     """
     a = as_prefix(a)
@@ -287,14 +289,14 @@ def apply_char_operator(p: CharPoly, a: PrefixLike) -> SequencePrefix:
             f"degree {d} operator needs at least {d + 1} terms, got {len(a)}"
         )
     target = join_domains(p.domain, a.domain)
-    coeffs = p.promoted(target).coeffs
-    vals = a.promoted(target).values
     if target.kind == "int":
-        return SequencePrefix._of(_operator_sums(coeffs, vals), target)
-    (nums, *radical), e = _int_columns(coeffs, target)
+        return SequencePrefix._of(_operator_sums(p.coeffs, a.values), target)
+    (nums, *radical), e = _int_columns(p.coeffs, target)
     if any(map(any, radical)):
+        coeffs = p.promoted(target).coeffs
+        vals = a.promoted(target).values
         return SequencePrefix._of(_operator_sums(coeffs, vals, zero(target)), target)
-    columns, den = _int_columns(vals, target)
+    columns, den = _int_columns(a.values, target)
     columns = [_operator_sums(nums, col) for col in columns]
     return SequencePrefix._of(_from_int_columns(columns, den * e, 1, target), target)
 
@@ -322,7 +324,7 @@ def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:
 
     after which t_m is final, so d(d+1)/2 multiply-adds in all.
     ``exactnum._on_ints`` runs the passes on native ints at every shift
-    but an irrational Quad.
+    but an irrational Quad, on the coefficients of ``p`` as they are.
 
     The input must be monic; the output is then monic of the same degree,
     and shifting is additive in r with shift by -r as inverse.
@@ -333,8 +335,7 @@ def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:
             f"{render_scalar(p.leading)}"
         )
     target = join_domains(p.domain, domain_of(r))
-    coeffs = p.promoted(target).coeffs
-    return CharPoly._of(_on_ints(_taylor_shift, coeffs, r, target), target)
+    return CharPoly._of(_on_ints(_taylor_shift, p.coeffs, r, target), target)
 
 
 def _taylor_shift(t: list, r) -> list:

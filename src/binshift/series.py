@@ -22,10 +22,14 @@ substitution (Horner in u) costs O(N^2) operations and one Riordan entry
 of its own.
 
 Every shift but an irrational Quad runs the OGF and EGF loops on native
-ints, lowered by ``exactnum._on_ints``.  At a rational shift r = p/q the
-Riordan entry divides by 1 - p z on ints and builds one scalar over
-q^(n-k); at an irrational Quad or a non-constant Poly shift it runs on
-the scalars.
+ints, lowered by ``exactnum._on_ints``, which reads an int or rational
+series as it is and builds the results in the joined domain.  At a
+rational shift r = p/q the Riordan entry divides by 1 - p z on ints and
+builds one scalar over q^(n-k); at an irrational Quad or a non-constant
+Poly shift it runs on the scalars.  Where the shift the loops see is 1
+(r = 1/q lowers to it), the OGF's and the Riordan entry's divisions by
+1 - z are prefix sums (``itertools.accumulate``); every other shift
+runs the per-term recurrence.
 
 Results computed in an already-joined domain are built by the unchecked
 ``TruncSeries._of`` and ``SequencePrefix._of``; the public constructors
@@ -37,6 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import KindMismatch, OrderMismatch
 from .exactnum import (
@@ -240,8 +245,10 @@ def _over_geometric(xs: Sequence[Scalar], r: Scalar, order: int) -> list:
     """Orders 0..order of xs(z) / (1 - r z), for len(xs) > order.
 
     Dividing by 1 - r z is the recurrence w_j = x_j + r * w_{j-1}: O(order)
-    operations and no Cauchy product.
+    operations and no Cauchy product.  At r = 1 it is a prefix sum.
     """
+    if r == 1:
+        return list(accumulate(xs[: order + 1]))
     w = [xs[0]]
     for j in range(1, order + 1):
         w.append(xs[j] + r * w[-1])
@@ -255,17 +262,17 @@ def series_compose_geometric(f: TruncSeries, r: Scalar) -> TruncSeries:
 
     A(u) at u = z/(1 - r z) is evaluated by Horner in u from c_N down to
     c_0, acc <- c_k + z * acc/(1 - r z), with each division by 1 - r z the
-    recurrence of :func:`_over_geometric`.  u^k has valuation k, so only
-    orders 0..N-k of acc reach the result; one last division applies
-    (1 - r z)^(-1).  O(N^2) operations in all; coefficient n of the result
-    depends only on input coefficients 0..n.  ``exactnum._on_ints`` runs
-    the loop on native ints at every shift but an irrational Quad.
+    recurrence of :func:`_over_geometric` (a prefix sum at r = 1).  u^k
+    has valuation k, so only orders 0..N-k of acc reach the result; one
+    last division applies (1 - r z)^(-1).  O(N^2) operations in all;
+    coefficient n of the result depends only on input coefficients 0..n.
+    ``exactnum._on_ints`` runs the loop on native ints at every shift but
+    an irrational Quad, on the coefficients of ``f`` as they are.
     """
     if f.kind != OGF:
         raise KindMismatch("geometric substitution acts on ogf series")
     target = join_domains(f.domain, domain_of(r))
-    coeffs = f.promoted(target).coeffs
-    out = _on_ints(_horner_in_u, coeffs, r, target)
+    out = _on_ints(_horner_in_u, f.coeffs, r, target)
     return TruncSeries._of(OGF, out, target)
 
 
@@ -294,8 +301,7 @@ def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
     if f.kind != EGF:
         raise KindMismatch("exponential multiplication acts on egf series")
     target = join_domains(f.domain, domain_of(r))
-    coeffs = f.promoted(target).coeffs
-    out = _on_ints(_binomial_rows, coeffs, r, target)
+    out = _on_ints(_binomial_rows, f.coeffs, r, target)
     return TruncSeries._of(EGF, out, target)
 
 

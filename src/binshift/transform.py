@@ -20,17 +20,19 @@ step "put c in front, then divide by 1 - z", and dividing by 1 - z is a
 prefix sum: one ``itertools.accumulate`` per input term.
 
 Every shift but an irrational Quad runs :func:`_table` on native ints
-with an int p, lowered by ``exactnum._on_ints``.  :func:`_table` scales
-entry k by p^(N-k), runs the unit table and divides output n exactly by
-p^(N-n).  Where the scaling does not pay it runs the multiply-add table
-:func:`_difference_table`, ``t_k <- p*t_k + t_{k+1}`` (von zur Gathen
-and Gerhard, ISSAC 1997): below ``_UNIT_MIN_TERMS`` terms, where fixed
-costs dominate, and when N * bit_length(p)^2 is over
-``_UNIT_MAX_N_BITS2``, where the long scaled entries and the exact
-divisions cost more than the multiply-adds save (a packed Poly-shift p
-is always that long).  In the int domain and at an irrational Quad shift
-the table runs on the scalars themselves.  Shift 0 is the identity and
-returns the promoted prefix without running a table.
+with an int p, lowered by ``exactnum._on_ints``, which reads an int or
+rational prefix as it is and builds the outputs in the joined domain.
+:func:`_table` scales entry k by p^(N-k), runs the unit table and
+divides output n exactly by p^(N-n).  Where the scaling does not pay it
+runs the multiply-add table :func:`_difference_table`,
+``t_k <- p*t_k + t_{k+1}`` (von zur Gathen and Gerhard, ISSAC 1997):
+below ``_UNIT_MIN_TERMS`` terms, where fixed costs dominate, and when
+N * bit_length(p)^2 is over ``_UNIT_MAX_N_BITS2``, where the long
+scaled entries and the exact divisions cost more than the multiply-adds
+save (a packed Poly-shift p is always that long).  In the int domain
+and at an irrational Quad shift the table runs on the scalars
+themselves.  Shift 0 is the identity and returns the promoted prefix
+without running a table.
 
 Results are built by the unchecked ``SequencePrefix._of``: their values
 were computed in the already-joined domain, so the per-value join of
@@ -168,9 +170,9 @@ def apply_transform(
         )
     target = join_domains(a.domain, domain_of(r))
     rp = promote(r, target)
-    vals = a.promoted(target).values[: n_max + 1]
     if rp == 0:  # the identity: no table, and no common denominator
-        return SequencePrefix._of(vals, target)
+        return SequencePrefix._of(a.promoted(target).values[: n_max + 1], target)
+    vals = a.values[: n_max + 1]  # lowered as they are, built in target
     return SequencePrefix._of(_on_ints(_table, vals, rp, target), target)
 
 

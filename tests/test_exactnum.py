@@ -30,8 +30,21 @@ from binshift.exactnum import (
     unify,
     zero,
 )
-from binshift.recurrence import CharPoly, _taylor_shift
-from binshift.series import _binomial_rows, _horner_in_u
+from binshift.recurrence import (
+    CharPoly,
+    _taylor_shift,
+    apply_char_operator,
+    shift_characteristic,
+)
+from binshift.series import (
+    EGF,
+    OGF,
+    TruncSeries,
+    _binomial_rows,
+    _horner_in_u,
+    egf_transform,
+    series_compose_geometric,
+)
 from binshift.transform import SequencePrefix, _table, apply_transform
 
 from exact_strategies import assert_same_scalars
@@ -722,3 +735,94 @@ class TestPackedColumns:
         for kernel in KERNELS:
             got = exactnum._on_ints(kernel, values, r, dom)
             assert_same_scalars(got, kernel(list(values), r))
+
+
+TARGETS = (
+    RAT,
+    poly_domain("x"),
+    poly_domain("r"),
+    quad_domain(5),
+    quad_domain(-1),
+    quad_domain(999983),
+)
+ratios_st = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+
+
+def in_domain(dom, a, b):
+    """a + b*s in ``dom``, s the indeterminate or sqrt(d); a alone in rat."""
+    if dom.kind == "rat":
+        return a
+    if dom.kind == "poly":
+        return Poly((a, b), dom.var)
+    return Quad(a, b, dom.d)
+
+
+@st.composite
+def unpromoted_case_st(draw):
+    """A target from TARGETS; 1 to 30 int values or 1 to 30 Fractions; a
+    shift of the target that is rational (a Fraction, a Quad with zero
+    radical part or a constant Poly) or not (a non-constant Poly or an
+    irrational Quad), zero included; and the coefficients of a
+    characteristic polynomial of degree 1-4 over the target, rational
+    or not."""
+    dom = draw(st.sampled_from(TARGETS))
+    size = draw(st.integers(1, 30))
+    values = st.integers(-50, 50) if draw(st.booleans()) else ratios_st
+    vals = draw(st.lists(values, min_size=size, max_size=size))
+    radical = st.just(0) if draw(st.booleans()) else ratios_st.filter(bool)
+    r = in_domain(dom, draw(ratios_st), draw(radical))
+    radical = st.just(0) if draw(st.booleans()) else ratios_st
+    pairs = st.tuples(ratios_st, radical)
+    tail = draw(st.lists(pairs, min_size=1, max_size=4))
+    return dom, vals, r, [in_domain(dom, a, b) for a, b in tail]
+
+
+def unpromoted_case(dom, vals, r, tail=((Fraction(1, 2), 1),)):
+    return dom, vals, r, [in_domain(dom, a, b) for a, b in tail]
+
+
+class TestUnpromotedLowering:
+    """The five callers of the int lowering hand int and rational inputs
+    to ``exactnum._on_ints`` or ``_int_columns`` unpromoted; each must
+    give, type for type, what promoting the inputs into the target first
+    gives.  Only the scalar branch of an irrational Quad shift, or of an
+    irrational operator coefficient, promotes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(unpromoted_case_st())
+    # rational values at an irrational Quad shift: the scalar branch must
+    # promote, since a Quad times a Fraction is not defined
+    @example(unpromoted_case(quad_domain(5), [Fraction(1, 2), Fraction(-3, 4)], Quad(1, 1, 5)))
+    @example(unpromoted_case(quad_domain(-1), [1, 2, 3], Quad(0, -1, -1)))
+    # rational values in a quad target at a rational shift: two columns,
+    # the radical one all zero
+    @example(unpromoted_case(quad_domain(5), [Fraction(1, 3), 2], Quad(Fraction(1, 2), 0, 5)))
+    @example(unpromoted_case(quad_domain(999983), list(range(30)), Quad(-2, 0, 999983)))
+    # packed: a Poly shift of a rational prefix
+    @example(unpromoted_case(poly_domain("r"), [Fraction(k, 7) for k in range(12)], Poly((0, 1), "r")))
+    @example(unpromoted_case(RAT, [1, 2, 3], Fraction(0)))
+    def test_matches_promoting_first(self, case):
+        dom, vals, r, tail = case
+        assert join_domains(domain_of(r), unify(vals)[0]) == dom
+        a, a_target = SequencePrefix(vals), SequencePrefix(vals, dom)
+        check_same_result(apply_transform(a, r), apply_transform(a_target, r))
+        for kind, view in ((OGF, series_compose_geometric), (EGF, egf_transform)):
+            f, f_target = TruncSeries(kind, vals), TruncSeries(kind, vals, dom)
+            check_same_result(view(f, r), view(f_target, r))
+        p, p_target = CharPoly([1, *vals[:5]]), CharPoly([1, *vals[:5]], dom)
+        check_same_result(shift_characteristic(p, r), shift_characteristic(p_target, r))
+        op = CharPoly([one(dom), *tail], dom)
+        if len(a) > op.degree:
+            check_same_result(apply_char_operator(op, a), apply_char_operator(op, a_target))
+        terms = SequencePrefix([promote(v, dom) + r for v in vals])
+        if len(terms) > p.degree:
+            check_same_result(apply_char_operator(p, terms), apply_char_operator(p_target, terms))
+
+
+def check_same_result(got, want):
+    """Equal domains, and type for type the same scalars."""
+    assert got.domain == want.domain
+    if isinstance(got, SequencePrefix):
+        assert_same_scalars(got.values, want.values)
+    else:
+        assert_same_scalars(got.coeffs, want.coeffs)

@@ -41,6 +41,14 @@ from binshift.recurrence import (
     transform_recurrence,
     unroll,
 )
+from binshift.families import family_prefix
+from binshift.series import (
+    EGF,
+    OGF,
+    egf_transform,
+    series_compose_geometric,
+    series_from_prefix,
+)
 from binshift.transform import SequencePrefix, apply_transform
 from binshift.verify import _naive_substitution_shift
 
@@ -552,6 +560,20 @@ class TestRecurrenceLoopsDifferential:
         assert runs[0] == (target.kind != "int" and irrational(p.coeffs))
 
 
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """A one-element list counting every Fraction constructed."""
+    built = [0]
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
 class TestRecurrenceLoopsBuildFewFractions:
     """On rational coefficients both loops run on int columns: each
     builds its results and at most two Fractions more (the scalar loops
@@ -561,18 +583,6 @@ class TestRecurrenceLoopsBuildFewFractions:
         CharPoly([1, Fraction(-3, 4), Fraction(5, 2), Fraction(-1, 3), Fraction(2, 5)]),
         [Fraction(1, 2), Fraction(-4, 3), 5, Fraction(7, 6)],
     )
-
-    @pytest.fixture
-    def fractions_built(self, monkeypatch):
-        built = [0]
-        original = Fraction.__new__
-
-        def counted(cls, *args, **kwargs):
-            built[0] += 1
-            return original(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-        return built
 
     def test_unroll_degree_4(self, fractions_built):
         want = unroll_on_scalars(self.REC, 20)
@@ -588,3 +598,60 @@ class TestRecurrenceLoopsBuildFewFractions:
         assert fractions_built[0] <= 17 + 2
         assert all(v == 0 for v in got)
         assert len(got) == 17
+
+
+class TestIntInputsAreNotPromoted:
+    """Int and rational inputs are lowered to int columns as they are,
+    and only the results are built in the target domain: each count
+    below includes the results and allows two more.  Promoting the
+    inputs first built 41 Fractions for the operator, 34 for each of
+    the three views and 14 Polys for the root shift."""
+
+    FIB = family_prefix("fibonacci", 16)
+    HALF = Fraction(1, 2)
+
+    def test_char_operator_on_int_terms(self, fractions_built):
+        p = CharPoly([1, Fraction(-1, 2)])
+        fractions_built[0] = 0
+        got = apply_char_operator(p, range(21))
+        assert fractions_built[0] <= 20 + 2
+        assert list(got) == [n + 1 - Fraction(n, 2) for n in range(20)]
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda a, r: apply_transform(a, r).values,
+            lambda a, r: series_compose_geometric(series_from_prefix(a, OGF), r).coeffs,
+            lambda a, r: egf_transform(series_from_prefix(a, EGF), r).coeffs,
+        ],
+        ids=["apply_transform", "series_compose_geometric", "egf_transform"],
+    )
+    def test_views_of_an_int_prefix(self, fractions_built, view):
+        a, r = self.FIB, self.HALF
+        want = [
+            sum(math.comb(n, k) * r ** (n - k) * a[k] for k in range(n + 1))
+            for n in range(len(a))
+        ]
+        fractions_built[0] = 0
+        got = view(a, r)
+        assert fractions_built[0] <= 17 + 2
+        assert_same_scalars(got, want)
+
+    def test_root_shift_at_a_symbolic_shift(self, monkeypatch):
+        d = 12
+        p = CharPoly([1, *[Fraction((-1) ** k * (k + 2), k + 3) for k in range(d)]])
+        r = Poly.indeterminate("r")
+        want = _naive_substitution_shift(p, r)
+        calls = [0]
+        original = Poly.__init__
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Poly, "__init__", counted)
+        got = shift_characteristic(p, r)
+        monkeypatch.undo()
+        assert calls[0] == 0
+        assert got == want
+        assert got.domain == poly_domain("r")

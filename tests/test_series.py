@@ -1,5 +1,6 @@
 """Truncated generating series and the transform's series actions."""
 
+import contextlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binshift import series
 from binshift.errors import KindMismatch, OrderMismatch
 from binshift.exactnum import (
     INT,
@@ -26,6 +28,7 @@ from binshift.series import (
     OGF,
     TruncSeries,
     _cauchy,
+    _horner_in_u,
     egf_transform,
     prefix_from_series,
     riordan_entry,
@@ -492,9 +495,17 @@ def riordan_on_scalars(r, n, k):
 @st.composite
 def ogf_and_shift_st(draw):
     """An OGF series over int, rat, quad(5), quad(-3), quad(999983) or
-    poly(x), and an int, Fraction, Quad (rational or not) or Poly
-    (constant or not) shift that joins with it."""
-    f = series_from_prefix(draw(prefixes_st()), OGF)
+    poly(x), of order 0 to 30, and an int, Fraction, Quad (rational or
+    not) or Poly (constant or not) shift that joins with it.  Up to nine
+    coefficients are drawn; the rest continue them by
+    t_n = c t_(n-1) - t_(n-h), h the number drawn and c in -3..3, which
+    keeps a long series generic at a few draws."""
+    head = list(draw(prefixes_st()).values)
+    size = draw(st.integers(len(head), 31))
+    c, h = draw(st.integers(-3, 3)), len(head)
+    while len(head) < size:
+        head.append(c * head[-1] - head[-h])
+    f = TruncSeries(OGF, head)
     return f, draw(shifts_st(f.domain))
 
 
@@ -524,6 +535,12 @@ class TestRationalShiftViewsDifferential:
     @example((TruncSeries(OGF, (1, Fraction(-1, 2), Fraction(1, 4))), Fraction(1, 2)))
     @example((TruncSeries(OGF, (Quad(0, 1, -3), Quad(0, -1, -3))), 1))
     @example((TruncSeries(OGF, (X, -X, X)), Fraction(1, 3)))
+    # long series: prefix sums at 1/3, the loop at -1, two packed
+    # columns, a Poly shift
+    @example((TruncSeries(OGF, [Fraction(k, 3) - 4 for k in range(31)]), Fraction(1, 3)))
+    @example((TruncSeries(OGF, [Fraction(k, 3) - 4 for k in range(31)]), -1))
+    @example((TruncSeries(OGF, [Quad(k, 1 - k, 5) for k in range(30)]), Fraction(-2, 3)))
+    @example((TruncSeries(OGF, [Poly((k, 1), "x") for k in range(31)]), Poly((1, 1), "x")))
     def test_compose_geometric(self, case):
         f, r = case
         got = series_compose_geometric(f, r)
@@ -553,3 +570,65 @@ class TestRationalShiftViewsDifferential:
         assert_same_scalars([got], [want])
         assert domain_of(got) == domain_of(r)
         assert got == (math.comb(n, k) * r ** (n - k) if k <= n else 0)
+
+
+@contextlib.contextmanager
+def prefix_sum_runs():
+    """Counts the prefix sums (``accumulate`` calls) of the series views."""
+    calls = [0]
+    original = series.accumulate
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "accumulate", counted)
+        yield calls
+
+
+HORNER_SHIFTS = (0, 1, -1, 2, -2, 3, -3, 7, 2**20)
+
+
+@st.composite
+def horner_case_st(draw):
+    """N + 1 ints, N in 0..60, of up to 80 bits and either sign, and an
+    int shift from HORNER_SHIFTS."""
+    n = draw(st.integers(0, 60))
+    bits = draw(st.integers(1, 80))
+    entries = st.integers(-(2**bits), 2**bits)
+    return draw(st.lists(entries, min_size=n + 1, max_size=n + 1)), draw(
+        st.sampled_from(HORNER_SHIFTS)
+    )
+
+
+class TestHornerPrefixSums:
+    """At the int shift 1 the OGF's divisions by 1 - z run as prefix sums;
+    at every int shift it must give what the per-term recurrence and the
+    double sum give, and the prefix sums run exactly at 1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(horner_case_st())
+    # N = 0, N = 1, and N = 25 and 26, around the 26-term cut of the
+    # transform's table (the OGF has no such cut)
+    @example(([5], 1))
+    @example(([-(2**70)], 0))
+    @example(([3, -4], 1))
+    @example(([3, -4], -1))
+    @example((list(range(-12, 14)), 1))
+    @example((list(range(-12, 14)), 3))
+    @example((list(range(-12, 15)), 1))
+    @example((list(range(-12, 15)), -2))
+    @example(([2**79 - k for k in range(61)], 1))
+    @example(([2**79 - k for k in range(61)], 2**20))
+    def test_matches_per_term_loop_and_double_sum(self, case):
+        c, p = case
+        with prefix_sum_runs() as calls:
+            got = _horner_in_u(list(c), p)
+        acc = [c[-1]]
+        for k in range(len(c) - 2, -1, -1):
+            acc = [c[k]] + over_geometric_on_scalars(acc, p, len(c) - k - 2)
+        assert got == over_geometric_on_scalars(acc, p, len(c) - 1)
+        assert got == double_sum(c, p)
+        assert all(type(v) is int for v in got)
+        assert calls[0] == (len(c) if p == 1 else 0)
