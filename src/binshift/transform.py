@@ -22,6 +22,17 @@ prefix sum: one ``itertools.accumulate`` per input term.
 Every shift but an irrational Quad runs :func:`_table` on native ints
 with an int p, lowered by ``exactnum._on_ints``, which reads an int or
 rational prefix as it is and builds the outputs in the joined domain.
+:func:`_table` has three routes.  A column of at least
+``_UNIT_MIN_TERMS`` terms that satisfies t_k = c1 t_(k-1) + c2 t_(k-2)
+with int c1, c2 is transformed by the paper's root shift: the outputs
+satisfy the recurrence of P(X - p), P = X^2 - c1 X - c2, so N
+multiply-adds give them all (:func:`_shifted_recurrence`).  Lowering
+keeps such a recurrence: entry k of a rational prefix scaled by e^k has
+c1 * e and c2 * e^2, and the packed wpoly column has c1 = 3 * 2^w.
+Orders up to 2 are the order of every registered family and of its
+transform, and one 3x3 Hankel determinant of five entries, taken modulo
+the prime ``_HANKEL_PRIME``, rejects nearly every other column in
+microseconds; longer recurrences stay on the tables.  Otherwise
 :func:`_table` scales entry k by p^(N-k), runs the unit table and
 divides output n exactly by p^(N-n).  Where the scaling does not pay it
 runs the multiply-add table :func:`_difference_table`,
@@ -181,7 +192,11 @@ def apply_transform(
 # fixed costs make the unit table up to 1.3x slower at |p| >= 2.  With
 # b = bit_length(p) its entries are N*b bits longer than the inputs
 # (about half that in the multiply-add table) and the divisions by
-# p^(N-n) grow as b^2 N^3: past N * b^2 = 2^14 it loses.
+# p^(N-n) grow as b^2 N^3: past N * b^2 = 2^14 it loses.  The
+# recurrence route shares the 26-term gate: on Fibonacci columns it beats
+# the multiply-add table from 12 terms (6.0 against 9.7 us at p = 1),
+# but its filter adds 1-2 us, 5-25% of the table at 8-16 terms, to every
+# column without such a recurrence.
 _UNIT_MIN_TERMS = 26
 _UNIT_MAX_N_BITS2 = 1 << 14
 
@@ -190,18 +205,27 @@ def _table(column: list, p) -> list:
     """Outputs sum_k C(n, k) p^(n-k) column_k for n = 0..len-1: the
     transform of ``column`` at shift p.
 
-    ``p`` is never 0: shift 0 returns before any table.  For an int p on
-    a long enough column this is D_p T_1 D_p^(-1): entry k is scaled by
-    p^(N-k), the unit table runs as Horner in u = z/(1 - z), one prefix
-    sum per input term, and output n is divided exactly by p^(N-n).
-    Otherwise :func:`_difference_table` runs.
+    ``p`` is never 0: shift 0 returns before any table, and an int p
+    comes with int entries.  A scalar p or a column shorter than
+    ``_UNIT_MIN_TERMS`` runs :func:`_difference_table`.  Otherwise three
+    routes are tried in turn:
+
+    1. a column with an int recurrence of order 1 or 2 runs the
+       recurrence of P(X - p), N multiply-adds
+       (:func:`_shifted_recurrence`);
+    2. while N * bit_length(p)^2 <= ``_UNIT_MAX_N_BITS2``, D_p T_1
+       D_p^(-1): entry k is scaled by p^(N-k), the unit table runs as
+       Horner in u = z/(1 - z), one prefix sum per input term, and
+       output n is divided exactly by p^(N-n);
+    3. :func:`_difference_table`.
     """
     n = len(column) - 1
-    if (
-        n < _UNIT_MIN_TERMS - 1
-        or not isinstance(p, int)
-        or n * abs(p).bit_length() ** 2 > _UNIT_MAX_N_BITS2
-    ):
+    if n < _UNIT_MIN_TERMS - 1 or not isinstance(p, int):
+        return _difference_table(column, p)
+    shifted = _shifted_recurrence(column, p)
+    if shifted is not None:
+        return shifted
+    if n * abs(p).bit_length() ** 2 > _UNIT_MAX_N_BITS2:
         return _difference_table(column, p)
     if p != 1:
         scale = list(accumulate(repeat(p, n), operator.mul, initial=1))[::-1]
@@ -212,6 +236,50 @@ def _table(column: list, p) -> list:
     if p != 1:
         g = list(map(operator.floordiv, g, scale))
     return g
+
+
+# The largest prime below 2^30: one CPython digit, so reducing an entry
+# modulo it takes time linear in the entry's length.
+_HANKEL_PRIME = 1_073_741_789
+
+
+def _shifted_recurrence(column: list, p: int) -> list | None:
+    """The transform of the int ``column`` (five entries or more) at the
+    int shift p in N multiply-adds; None when t_0 = t_1 = 0 or when no
+    t_k = c1 t_(k-1) + c2 t_(k-2) with int c1, c2 holds for every k >= 2.
+
+    By the root shift, the outputs then satisfy the recurrence of
+    P(X - p) for P = X^2 - c1 X - c2: b_0 = t_0, b_1 = t_1 + p t_0 and
+    b_n = (c1 + 2p) b_(n-1) + (c2 - c1 p - p^2) b_(n-2).  The 3x3 Hankel
+    determinant of t_0..t_4 vanishes on such a column; one nonzero
+    modulo ``_HANKEL_PRIME`` rejects it for a few microseconds.  The
+    coefficients come from the 2x2 Hankel system (order 1 where its
+    determinant is 0) as floor quotients, and every entry is checked
+    against them, which rejects any quotient that was not exact.
+    """
+    m0, m1, m2, m3, m4 = [t % _HANKEL_PRIME for t in column[:5]]
+    hankel3 = (
+        m0 * (m2 * m4 - m3 * m3) - m1 * (m1 * m4 - m2 * m3) + m2 * (m1 * m3 - m2 * m2)
+    )
+    if hankel3 % _HANKEL_PRIME:
+        return None
+    t0, t1, t2, t3 = column[:4]
+    hankel2 = t0 * t2 - t1 * t1
+    if hankel2:
+        c1 = (t0 * t3 - t1 * t2) // hankel2
+        c2 = (t2 * t2 - t1 * t3) // hankel2
+    elif t0:
+        c1, c2 = t1 // t0, 0
+    else:
+        return None
+    for a, b, c in zip(column, column[1:], column[2:]):
+        if c != c1 * b + c2 * a:
+            return None
+    d1, d2 = c1 + 2 * p, c2 - c1 * p - p * p
+    out = [t0, t1 + p * t0]
+    for _ in range(len(column) - 2):
+        out.append(d1 * out[-1] + d2 * out[-2])
+    return out
 
 
 def _difference_table(column: Iterable, p) -> list:

@@ -249,12 +249,17 @@ def _prop_intertwining_zero(rng, cases, depth):
 
 
 def _prop_transformed_recurrence_coherent(rng, cases, depth):
+    # From 26 terms the transform kernel itself runs the root shift on
+    # these prefixes, so index ``depth`` is also checked by the double sum.
+    row = [math.comb(depth, k) for k in range(depth + 1)]
     for name in INTEGER_FAMILIES:
         rec = family_recurrence(name)
         base = unroll(rec, depth)
         for r in range(-2, 3):
             rerolled = unroll(transform_recurrence(rec, r), depth)
-            yield {"family": name, "r": r}, apply_transform(base, r) == rerolled
+            direct = sum(c * r ** (depth - k) * base[k] for k, c in enumerate(row))
+            holds = apply_transform(base, r) == rerolled and rerolled[depth] == direct
+            yield {"family": name, "r": r}, holds
 
 
 # --- identities suite ------------------------------------------------------

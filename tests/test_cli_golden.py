@@ -24,6 +24,16 @@ CASES = [
     ("transform", "--family", "wpoly", "-r", "2", "-n", "4", "--format", "json"),
     ("transform", "--inline", "1/2,3,-7/3", "-r=-3/7", "--format", "csv"),
     ("transform", "--family", "pell", "-r=-1", "-n", "12", "--format", "oeis"),
+    # long second-order prefixes, int and rational (30 terms of L_k/2)
+    ("transform", "--family", "pell", "-r=3", "-n", "1000", "--format", "json"),
+    (
+        "transform",
+        "--inline",
+        "1,1/2,3/2,2,7/2,11/2,9,29/2,47/2,38,123/2,199/2,161,521/2,843/2,682,"
+        "2207/2,3571/2,2889,9349/2,15127/2,12238,39603/2,64079/2,51841,"
+        "167761/2,271443/2,219602,710647/2,1149851/2",
+        "-r=-2/5",
+    ),
     ("shift-poly", "1,-1,-1", "-r", "1"),
     ("shift-poly", "1,2,3,4", "-r=-3/7"),
     ("shift-poly", "1,-3,2", "-r", "1", "--format", "json"),

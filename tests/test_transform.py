@@ -21,7 +21,7 @@ from binshift.exactnum import (
     promote,
     render_scalar,
 )
-from binshift.families import family_prefix
+from binshift.families import family_names, family_prefix
 from binshift.transform import (
     SequencePrefix,
     _difference_table,
@@ -307,7 +307,7 @@ class TestKernelSelection:
         "values, r",
         [
             (list(range(UNIT_TERMS - 1)), 3),
-            (list(range(101)), 10**30),
+            ([k * k - 50 * k for k in range(101)], 10**30),
             ([Quad(k, 1, 5) for k in range(101)], Quad(1, 1, 5)),
         ],
         ids=["short-column", "large-p", "irrational-quad"],
@@ -316,6 +316,107 @@ class TestKernelSelection:
         out = apply_transform(values, r)
         assert multiply_add_calls[0] >= 1
         assert out.values == comb_oracle(values, r)
+
+
+RECURRENCE_COEFFS = (0, 1, -1, 2, -2, 2**40 + 1, -(3**25))
+
+
+@st.composite
+def recurrent_columns_st(draw):
+    """An int column of t_k = c1 t_(k-1) + c2 t_(k-2) (c2 = 0 for order
+    1, starts from -9..9, zeros included) or an all-zero column, with
+    ``UNIT_TERMS - 2`` to 200 entries; and the index of one entry to
+    break, or None."""
+    size = draw(st.integers(UNIT_TERMS - 2, 200))
+    kind = draw(st.sampled_from(("order1", "order2", "zeros")))
+    if kind == "zeros":
+        column = [0] * size
+    else:
+        c1 = draw(st.sampled_from(RECURRENCE_COEFFS))
+        c2 = 0 if kind == "order1" else draw(st.sampled_from(RECURRENCE_COEFFS))
+        column = [draw(st.integers(-9, 9))]
+        column.append(c1 * column[0] if kind == "order1" else draw(st.integers(-9, 9)))
+        for k in range(2, size):
+            column.append(c1 * column[k - 1] + c2 * column[k - 2])
+    broken = draw(st.one_of(st.none(), st.integers(2, size - 1)))
+    return column, broken
+
+
+class TestRecurrenceRoute:
+    """An int column with an order-1 or order-2 int recurrence is
+    transformed through the recurrence of P(X - p)
+    (``_shifted_recurrence``); any other column falls back to a table.
+    Both must equal the multiply-add table and the double sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        recurrent_columns_st(),
+        st.sampled_from((1, -1, 2, -2, 3, -3, 7, 2**20, 10**30)),
+    )
+    # the break falls on the last entry
+    @example((list(family_prefix("fibonacci", UNIT_TERMS - 1)), UNIT_TERMS - 1), 3)
+    def test_matches_tables_and_oracle(self, case, p):
+        column, broken = case
+        if broken is not None:
+            column = column[:]
+            column[broken] += 1
+        route = transform._shifted_recurrence(column, p)
+        if broken is not None or not any(column[:2]):
+            assert route is None
+        else:
+            assert tuple(route) == comb_oracle(column, p)
+        out = transform._table(column, p)
+        assert out == _difference_table(column, p)
+        assert tuple(out) == comb_oracle(column, p)
+
+    @pytest.fixture
+    def route_calls(self, monkeypatch):
+        """Per ``_shifted_recurrence`` call, whether it took the route."""
+        calls = []
+        original = transform._shifted_recurrence
+
+        def counted(column, p):
+            out = original(column, p)
+            calls.append(out is not None)
+            return out
+
+        monkeypatch.setattr(transform, "_shifted_recurrence", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", family_names())
+    def test_every_family_takes_it(self, route_calls, name):
+        values = family_prefix(name, UNIT_TERMS + 14)
+        assert apply_transform(values, 2).values == comb_oracle(values.values, 2)
+        assert route_calls == [True]
+
+    @pytest.mark.parametrize(
+        "values, r",
+        [
+            ([Fraction(f, 7) for f in family_prefix("fibonacci", 60)], Fraction(1, 3)),
+            ([Quad(f, 0, 5) for f in family_prefix("fibonacci", 60)], 1),
+            (family_prefix("wpoly", 40), 2),
+            (list(range(101)), 10**30),
+        ],
+        ids=["fibonacci/7-r1/3", "quad5-fibonacci-r1", "wpoly-N40-r2", "large-p"],
+    )
+    def test_prefixes_take_it(self, route_calls, values, r):
+        prefix = as_prefix(values)
+        target = join_domains(prefix.domain, domain_of(r))
+        out = apply_transform(prefix, r)
+        assert out.values == comb_oracle(prefix.promoted(target).values, promote(r, target))
+        assert route_calls == [True]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [k * k - 50 * k for k in range(101)],
+            [(k * 0x9E3779B97F4A7C15) % 2**64 - 2**63 for k in range(101)],
+        ],
+        ids=["order-3", "random-64-bit"],
+    )
+    def test_other_columns_do_not(self, route_calls, values):
+        assert apply_transform(values, 3).values == comb_oracle(values, 3)
+        assert route_calls == [False]
 
 
 class TestOneKernelRun:

@@ -85,6 +85,23 @@ def wrong_at_one(monkeypatch):
     monkeypatch.setattr(verify, "apply_transform", wrong)
 
 
+def test_transformed_recurrence_checked_by_the_double_sum(monkeypatch):
+    """From 26 terms the transform kernel runs the root shift on these
+    family prefixes, so both sides of
+    ``rootshift.transformed_recurrence_coherent`` could share one error.
+    Both shifted to r + 1 still agree with each other; the double sum at
+    index ``depth`` must catch them."""
+    real_apply, real_shift = verify.apply_transform, verify.transform_recurrence
+    monkeypatch.setattr(verify, "apply_transform", lambda a, r: real_apply(a, r + 1))
+    monkeypatch.setattr(verify, "transform_recurrence", lambda rec, r: real_shift(rec, r + 1))
+    report = run_suite("rootshift", seed=0, cases=5, depth=30)
+    [prop] = [p for p in report.properties if p.name == "transformed_recurrence_coherent"]
+    assert prop.failure == (
+        "seed 0, rootshift.transformed_recurrence_coherent, case 0: "
+        "family=fibonacci, r=-2"
+    )
+
+
 class TestRunner:
     def test_properties_independent_of_the_run(self, wrong_at_one):
         report = run_suite("all", seed=11, cases=20, depth=10)
