@@ -75,7 +75,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, zip_longest
 
 from .errors import DivisionByZero, DomainMismatch, NonInvertibleDomain
 
@@ -669,6 +669,9 @@ def _int_columns(
     A rat sequence is one column, a quad(d) sequence a rational-part and
     a radical-part column, a poly(x) sequence one column per coefficient
     index (at least one, so all-zero polynomials still yield rows).
+    Each row is scaled once to D, skipped where its denominator is D
+    already, as in every wpoly prefix, and the rows are transposed with
+    ``zip_longest``, which pads short poly rows with zeros.
     ``values`` may also hold ints and Fractions that promote into ``dom``:
     each is read into the rational column as it is (the radical column
     of a quad gets a zero), so nothing is promoted first.
@@ -685,12 +688,9 @@ def _int_columns(
         for v in values
     ]
     den = math.lcm(*[d for _, d in parts])
-    width = max(1, *[len(nums) for nums, _ in parts])
-    columns = [
-        [nums[j] * (den // d) if j < len(nums) else 0 for nums, d in parts]
-        for j in range(width)
-    ]
-    return columns, den
+    rows = [nums if d == den else [x * (den // d) for x in nums] for nums, d in parts]
+    columns = list(map(list, zip_longest(*rows, fillvalue=0)))
+    return columns or [[0] * len(rows)], den
 
 
 def _from_int_columns(

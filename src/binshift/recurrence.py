@@ -233,6 +233,10 @@ def unroll(rec: Recurrence, n_max: int) -> SequencePrefix:
     on the ints of each column, and output n is built back once over
     D E^n.  Only an irrational Quad or a non-constant Poly coefficient
     keeps the loop on the scalars; the int domain runs it on its ints.
+    Order 2, the order of every registered family and of its transform,
+    continues in two registers (``_continued``): per term the
+    interpreter's index arithmetic, not the int arithmetic, sets the
+    cost there.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -256,8 +260,21 @@ def unroll(rec: Recurrence, n_max: int) -> SequencePrefix:
 def _continued(c, vals: list, n_max: int, acc0=0) -> list:
     """``vals`` (d initial terms or fewer, extended in place) continued to
     n_max by vals_n = -(sum_k c_k vals_{n-k}) for k = 1..d, each sum
-    started from ``acc0``; d + 1 is the length of ``c``."""
+    started from ``acc0``; d + 1 is the length of ``c``.
+
+    Order 2 with both start values continues in two registers, in the
+    generic loop's order of operations: per term the interpreter's index
+    arithmetic and inner loop, not the arithmetic, set the cost there.
+    """
     d = len(c) - 1
+    if d == 2 and len(vals) == 2:
+        _, c1, c2 = c
+        a, b = vals
+        append = vals.append
+        for _ in range(n_max - 1):
+            a, b = b, acc0 - c1 * b - c2 * a
+            append(b)
+        return vals
     for n in range(d, n_max + 1):
         acc = acc0
         for k in range(1, d + 1):

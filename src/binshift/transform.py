@@ -255,7 +255,10 @@ def _shifted_recurrence(column: list, p: int) -> list | None:
     modulo ``_HANKEL_PRIME`` rejects it for a few microseconds.  The
     coefficients come from the 2x2 Hankel system (order 1 where its
     determinant is 0) as floor quotients, and every entry is checked
-    against them, which rejects any quotient that was not exact.
+    against them, which rejects any quotient that was not exact.  One
+    pass over the column checks entry k and then emits output k, both
+    in two registers; the first mismatch returns None, so no partial
+    output escapes.
     """
     m0, m1, m2, m3, m4 = [t % _HANKEL_PRIME for t in column[:5]]
     hankel3 = (
@@ -272,13 +275,17 @@ def _shifted_recurrence(column: list, p: int) -> list | None:
         c1, c2 = t1 // t0, 0
     else:
         return None
-    for a, b, c in zip(column, column[1:], column[2:]):
-        if c != c1 * b + c2 * a:
-            return None
     d1, d2 = c1 + 2 * p, c2 - c1 * p - p * p
-    out = [t0, t1 + p * t0]
-    for _ in range(len(column) - 2):
-        out.append(d1 * out[-1] + d2 * out[-2])
+    a, b = t0, t1
+    u, v = t0, t1 + p * t0
+    out = [u, v]
+    append = out.append
+    for t in column[2:]:
+        if t != c1 * b + c2 * a:
+            return None
+        a, b = b, t
+        u, v = v, d1 * v + d2 * u
+        append(v)
     return out
 
 

@@ -660,6 +660,16 @@ class TestRingLaws:
 KERNELS = (_table, _taylor_shift, _binomial_rows, _horner_in_u)
 
 
+MIXED_ROWS = [
+    Poly((1, Fraction(1, 2), 3), "x"),
+    2,
+    Fraction(-3, 4),
+    Poly((), "x"),
+    Poly((Fraction(5, 7),), "x"),
+    Poly((0, Fraction(-1, 3)), "x"),
+] * 3
+
+
 def bound_case(n, width, bits, pattern, r):
     """N + 1 values whose lowered int entries are all +-(2^bits - 1): of
     one sign, alternating along k and j, or all 0.  ``width`` 2 with a
@@ -730,11 +740,14 @@ class TestPackedColumns:
     @example(bound_case(3, 2, 20, "zero", Poly((0, 1), "x")))
     # ||S||_1 = 8 where the leading coefficient alone would give 1
     @example(bound_case(1, 1, 10, "plus", Poly((7, 1), "x")))
+    # ragged poly rows over different denominators among ints and
+    # Fractions, which are lowered as they are; packed at N = 17
+    @example((MIXED_ROWS, Poly((Fraction(-2, 3),), "x"), poly_domain("x")))
     def test_matches_scalar_route(self, case):
         values, r, dom = case
         for kernel in KERNELS:
             got = exactnum._on_ints(kernel, values, r, dom)
-            assert_same_scalars(got, kernel(list(values), r))
+            assert_same_scalars(got, kernel([promote(v, dom) for v in values], r))
 
 
 TARGETS = (

@@ -514,6 +514,8 @@ def irrational(coeffs):
 
 
 WPOLY = Recurrence(CharPoly((1, -3 * X, 2)), (0, 1))
+FIB_REC = Recurrence(CharPoly((1, -1, -1)), (0, 1))
+SIXTHS_REC = Recurrence(CharPoly((1, Fraction(-1, 2), Fraction(1, 3))), (Fraction(1, 5), 2))
 SQRT5_REC = Recurrence(CharPoly((1, -SQRT5, -1)), (Quad(1, 1, 5), 2))
 
 
@@ -533,6 +535,16 @@ class TestRecurrenceLoopsDifferential:
     # a Quad recurrence whose radical column cancels, and all-zero terms
     @example((Recurrence(CharPoly((1, Quad(-2, 0, -3))), (Quad(0, 1, -3),)), 9))
     @example((Recurrence(CharPoly((1, Poly((), "x"), -1)), (Poly((), "x"), 0)), 7))
+    # order 2, continued in two registers: n_max 0 to 2 (one start value
+    # below 1), c2 = 0, coefficients past 64 bits (n_max 200 keeps the
+    # terms under the 4,300 digits that str() of an int allows), and
+    # E = 6 scaling the int columns of a rational recurrence
+    @example((FIB_REC, 0))
+    @example((FIB_REC, 1))
+    @example((FIB_REC, 2))
+    @example((Recurrence(CharPoly((1, -3, 0)), (2, -5)), 20))
+    @example((Recurrence(CharPoly((1, 2**64 + 1, -(2**64 + 1))), (1, -1)), 200))
+    @example((SIXTHS_REC, 40))
     def test_unroll(self, case):
         rec, n_max = case
         want = unroll_on_scalars(rec, n_max)
