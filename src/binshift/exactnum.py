@@ -17,15 +17,18 @@ route between polynomials and quadratic fields, between quadratic fields
 with different radicands, or between non-constant polynomials in different
 indeterminates.
 
-``Poly`` and ``Quad`` store int numerators over one positive common
-denominator, in lowest terms, so their arithmetic runs on native ints and
-builds no Fraction; the Fractions their accessors return are built when
-read.
+``Poly`` and ``Quad`` share one core, ``_IntNumerators``: int numerators
+of the powers of a symbol s, ascending and without trailing zeros, over
+one positive common denominator, in lowest terms.  s is the indeterminate
+of a Poly and sqrt(d) of a Quad, whose products reduce s^2 to d; a value
+is rational exactly when it has at most one numerator.  Arithmetic runs
+on native ints and builds no Fraction; the Fractions the accessors
+return are built when read.
 
 Values are validated once, by the public constructors (``Poly(...)``,
 ``Quad(...)``, :func:`poly_domain`, :func:`quad_domain`) and by
 :func:`promote`, which calls them.  Results of arithmetic on valid values
-are built by the unchecked ``_new`` constructors and skip validation:
+are built by the unchecked ``_new`` constructor and skip validation:
 their components are ints computed from validated operands, and their
 radicand or indeterminate name comes from a validated operand.  ``_new``
 is the one place that brings a result into lowest terms.  :func:`unify` is
@@ -46,7 +49,9 @@ shift adds) are packed Kronecker-style into w-bit slots of one int
 column, the kernel runs once with p or S(2^w), and the slots are read
 back; at a rational shift, short prefixes and very wide slots keep one
 run per column.
-Every result is built once with ``_from_int_columns`` over ``D * e**j``.
+Every result is built once with ``_from_int_columns`` over ``D * e**j``,
+by one row comprehension for quad and poly values.  A quad prefix of
+rational values lowers to one column, as a rat prefix does.
 ``_rational_parts`` reads p and q off a rational-valued scalar.  Only the
 int domain and an irrational Quad shift run the kernel on the scalars,
 and the latter is the one branch that promotes the values first.
@@ -144,45 +149,62 @@ def _stripped(nums: Sequence[int]) -> Sequence[int]:
     return nums[:end]
 
 
-def _power(base, n, unit, mul=operator.mul):
-    """``base ** n`` by square-and-multiply with ``mul``, starting from
-    ``unit``; the last, largest square is never formed."""
+def _power(base, n, unit, mul):
+    """``base ** n`` by square-and-multiply with ``mul``: ``unit`` at
+    n = 0, else never a product by ``unit``, and the last, largest
+    square is never formed."""
     if not isinstance(n, int) or isinstance(n, bool):
         return NotImplemented
     if n < 0:
         raise ValueError("negative power; use scalar_inv to invert a field element")
-    result = unit
-    while True:
+    if not n:
+        return unit
+    while not n & 1:
+        base = mul(base, base)
+        n >>= 1
+    result = base
+    while n := n >> 1:
+        base = mul(base, base)
         if n & 1:
             result = mul(result, base)
-        n >>= 1
-        if not n:
-            return result
-        base = mul(base, base)
+    return result
+
+
+# Largest |radicand| that is_squarefree accepts.  Its search runs to the
+# cube root, so a prime just below a power of ten is the slowest input
+# there: 0.001 s at 10^12, 0.011 s at 10^15, 0.10 s at 10^18, 0.33 s at
+# 10^20 and 0.78 s at 10^21 (best of 3, Python 3.11, 2-vCPU VM).  The
+# cap keeps the worst case near what the square-root search took at 10^12.
+_MAX_RADICAND = 10**18
 
 
 @functools.lru_cache(maxsize=256)
 def is_squarefree(n: int) -> bool:
     """True if no square larger than 1 divides ``n`` (sign ignored).
 
-    Zero is not squarefree.  Trial division by 2 and then by odd factors
-    takes O(sqrt(n)) steps, about 5*10^5 for a prime near 10^12, so the
-    result is cached per radicand: every ``Quad(...)`` checks its radicand,
-    and a computation uses few.
+    Zero is not squarefree, and ``|n|`` above ``_MAX_RADICAND`` = 10^18
+    raises ``ValueError``.  Every prime factor f with f^3 <= m, m what is
+    left of ``|n|``, is divided out, and a second f means a square.  The
+    cofactor m then has no prime factor below its cube root, so it is 1,
+    a prime, p*q or p^2: squarefree exactly when it is 1 or not a perfect
+    square.  At most about 5*10^5 trial divisors, near the cap; the
+    result is cached per radicand, since every ``Quad(...)`` checks its
+    radicand and a computation uses few.
     """
-    n = abs(n)
-    if n == 0 or n % 4 == 0:
+    m = abs(n)
+    if m > _MAX_RADICAND:
+        raise ValueError("radicand above the cap: |d| <= 10^18")
+    if m == 0:
         return False
-    if n % 2 == 0:
-        n //= 2
-    f = 3
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        if n % f == 0:
-            n //= f
-        f += 2
-    return True
+    f, step = 2, 1  # f runs 2, 3, 5, 7, 9, ...
+    while f * f * f <= m:
+        if m % f == 0:
+            m //= f
+            if m % f == 0:
+                return False
+        f, step = f + step, 2
+    root = math.isqrt(m)
+    return m == 1 or root * root != m
 
 
 class Domain(namedtuple("Domain", "kind d var", defaults=(None, None))):
@@ -222,48 +244,160 @@ def quad_domain(d: int) -> Domain:
     return Domain("quad", d=d)
 
 
-class Poly:
-    """Dense univariate polynomial with rational coefficients.
+class _IntNumerators:
+    """Int numerators over one denominator: the core shared by Poly and Quad.
 
-    Stored as a tuple of int numerators in ascending order over one
-    denominator ``den > 0``: trailing zeros are stripped and the
-    numerators share no factor with ``den``, so equal polynomials have
-    identical numerators and denominators.  The zero polynomial is ``()``
-    over 1 and has degree -1.  ``coeffs``, :meth:`coefficient` and
-    :meth:`constant_value` build their Fractions when read.  Every
-    polynomial remembers its indeterminate name; constants compare equal
-    regardless of the name, but two non-constant polynomials in different
-    indeterminates never mix.
+    A value is sum_k ``_nums[k]`` * s^k / ``_den`` in a symbol s that
+    ``_tag`` names: the indeterminate of a Poly, sqrt(d) of a Quad whose
+    radicand is the tag.  ``_nums`` is a tuple of ints, ascending, with
+    no trailing zeros, sharing no factor with ``_den > 0``; so equal
+    values have identical numerators and denominators, and a value is
+    rational exactly when it has at most one numerator.  Rational values
+    compare and hash like their Fraction, whatever the tag.
 
-    Arithmetic accepts ``int`` on either side (the canonical integer
-    action); rationals must be promoted explicitly.
+    Each subclass supplies ``_join_tag`` (the tag of a result, or
+    :class:`DomainMismatch`), ``_symbol`` (the s its text writes) and, if
+    s^2 reduces, ``_times``.  Operands are tested with
+    ``isinstance(other, type(self))``, so a Poly and a Quad never mix.
+    Arithmetic accepts ``int`` on either side; rationals must be promoted
+    explicitly.
     """
 
-    __slots__ = ("_nums", "_den", "_var")
+    __slots__ = ("_nums", "_den", "_tag")
 
-    def __init__(self, coeffs: Iterable[int | Fraction] = (), var: str = "x"):
-        poly_domain(var)
-        nums, den = _over_common_denominator([_as_fraction(c) for c in coeffs])
+    def _store(self, values: Iterable[int | Fraction], tag: str | int) -> None:
+        nums, den = _over_common_denominator([_as_fraction(v) for v in values])
         self._nums, self._den = _lowest(_stripped(nums), den)
-        self._var = var
+        self._tag = tag
 
     @classmethod
-    def _new(cls, nums: Sequence[int], den: int, var: str) -> "Poly":
+    def _new(cls, nums: Sequence[int], den: int, tag: str | int):
         """Unchecked constructor for arithmetic results: int ``nums`` over
-        the int ``den > 0``, and ``var`` a valid name.  Strips trailing
+        the int ``den > 0``, and ``tag`` a valid one.  Strips trailing
         zeros and reduces to lowest terms."""
+        if nums and not nums[-1]:
+            nums = _stripped(nums)
         self = object.__new__(cls)
-        self._nums, self._den = _lowest(_stripped(nums), den)
-        self._var = var
+        self._nums, self._den = _lowest(nums, den)
+        self._tag = tag
         return self
-
-    @classmethod
-    def indeterminate(cls, var: str = "x") -> "Poly":
-        return cls((0, 1), var)
 
     def _numerators(self) -> tuple[tuple[int, ...], int]:
         """The int numerators, ascending, and their common denominator."""
         return self._nums, self._den
+
+    def _ratio(self) -> tuple[int, int] | None:
+        """``(p, q)`` with the value p/q and q > 0, or None if irrational."""
+        nums = self._nums
+        if len(nums) > 1:
+            return None
+        return (nums[0] if nums else 0), self._den
+
+    def _times(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """The product of raw numerator tuples: their convolution."""
+        out = [0] * (len(x) + len(y) - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+        return out
+
+    def __add__(self, other: object, sign: int = 1):
+        """``self + sign * other``; :meth:`__sub__` passes ``sign = -1``."""
+        a, den = self._nums, self._den
+        if isinstance(other, type(self)):
+            tag = self._tag if self._tag == other._tag else self._join_tag(other)
+            b, b_den = other._nums, other._den
+        elif isinstance(other, int) and not isinstance(other, bool):
+            tag, b, b_den = self._tag, (other * den,), den
+        else:
+            return NotImplemented
+        if b_den == den:
+            nums, scale = list(a), sign
+        else:
+            nums, scale, den = [c * b_den for c in a], sign * den, den * b_den
+        nums += [0] * (len(b) - len(nums))
+        for k, c in enumerate(b):
+            nums[k] += c * scale
+        return self._new(nums, den, tag)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new([-c for c in self._nums], self._den, self._tag)
+
+    def __sub__(self, other: object):
+        return self.__add__(other, -1)
+
+    def __rsub__(self, other: object):
+        return (-self).__add__(other)
+
+    def __mul__(self, other: object):
+        if isinstance(other, int) and not isinstance(other, bool):
+            return self._new([c * other for c in self._nums], self._den, self._tag)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        tag = self._tag if self._tag == other._tag else self._join_tag(other)
+        nums = self._times(self._nums, other._nums)
+        return self._new(nums, self._den * other._den, tag)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        """Square-and-multiply on the raw numerators, then one ``_new``
+        over ``den ** n``: a single reduction to lowest terms instead of
+        one per product."""
+        nums = _power(self._nums, n, (1,), self._times)
+        if nums is NotImplemented:
+            return nums
+        return self._new(nums, self._den**n, self._tag)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            if self._nums != other._nums or self._den != other._den:
+                return False
+            return len(self._nums) <= 1 or self._tag == other._tag
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            # lowest terms on both sides: compare numerator and denominator
+            return self._ratio() == (other.numerator, other.denominator)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # Rational values hash like their Fraction so that x == y implies
+        # hash(x) == hash(y) across domains; an irrational value hashes
+        # without its tag, which equal values share.
+        ratio = self._ratio()
+        if ratio is None:
+            return hash((self._nums, self._den))
+        return hash(Fraction(*ratio))
+
+    def text(self) -> str:
+        """Ascending rendering in the symbol, e.g. ``1 + 2*x - x^3`` or
+        ``1/2 - 3/2*sqrt(5)``."""
+        return _joined(_terms(self._nums, self._den, self._symbol()))
+
+    def __str__(self) -> str:
+        return self.text()
+
+
+class Poly(_IntNumerators):
+    """Dense univariate polynomial with rational coefficients.
+
+    Stored as :class:`_IntNumerators` in the indeterminate ``var``: the
+    zero polynomial is ``()`` over 1 and has degree -1.  ``coeffs``,
+    :meth:`coefficient` and :meth:`constant_value` build their Fractions
+    when read.  Constants compare equal regardless of the name, but two
+    non-constant polynomials in different indeterminates never mix.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Iterable[int | Fraction] = (), var: str = "x"):
+        poly_domain(var)
+        self._store(coeffs, var)
+
+    @classmethod
+    def indeterminate(cls, var: str = "x") -> "Poly":
+        return cls((0, 1), var)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -271,7 +405,7 @@ class Poly:
 
     @property
     def var(self) -> str:
-        return self._var
+        return self._tag
 
     @property
     def degree(self) -> int:
@@ -295,277 +429,113 @@ class Poly:
             return Fraction(self._nums[k], self._den)
         return Fraction(0)
 
-    def _merged_var(self, other: "Poly") -> str:
+    def _join_tag(self, other: "Poly") -> str:
         if self.is_constant:
-            return other._var
+            return other._tag
         if other.is_constant:
-            return self._var
-        if self._var != other._var:
+            return self._tag
+        if self._tag != other._tag:
             raise DomainMismatch(
-                f"cannot mix polynomials in {self._var!r} and {other._var!r}"
+                f"cannot mix polynomials in {self._tag!r} and {other._tag!r}"
             )
-        return self._var
+        return self._tag
 
-    def __add__(self, other: object) -> "Poly":
-        if isinstance(other, Poly):
-            var = self._merged_var(other)
-            b, other_den = other._nums, other._den
-        elif isinstance(other, int) and not isinstance(other, bool):
-            var, b, other_den = self._var, (other,), 1
-        else:
-            return NotImplemented
-        a, den = self._nums, self._den
-        if other_den != den:
-            a, b = [c * other_den for c in a], [c * den for c in b]
-            den *= other_den
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly._new(out, den, var)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly._new([-c for c in self._nums], self._den, self._var)
-
-    def __sub__(self, other: object) -> "Poly":
-        if isinstance(other, Poly):
-            return self.__add__(-other)
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.__add__(-other)
-        return NotImplemented
-
-    def __rsub__(self, other: object) -> "Poly":
-        return (-self).__add__(other)
-
-    def __mul__(self, other: object) -> "Poly":
-        if isinstance(other, int) and not isinstance(other, bool):
-            return Poly._new([c * other for c in self._nums], self._den, self._var)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        var = self._merged_var(other)
-        a, b = self._nums, other._nums
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly._new(out, self._den * other._den, var)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        return _power(self, n, Poly._new((1,), 1, self._var))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            if self._nums != other._nums or self._den != other._den:
-                return False
-            return len(self._nums) <= 1 or self._var == other._var
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            # lowest terms on both sides: compare numerator and denominator
-            return (
-                self.is_constant
-                and other.numerator == (self._nums[0] if self._nums else 0)
-                and other.denominator == self._den
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # Constants hash like their rational value so that x == y implies
-        # hash(x) == hash(y) across domains.
-        if self.is_constant:
-            return hash(self.constant_value())
-        return hash((self._nums, self._den))
-
-    def text(self) -> str:
-        """Canonical ascending rendering, e.g. ``1 + 2*x - x^3``."""
-        return _joined(_terms(self._nums, self._den, self._var))
+    def _symbol(self) -> str:
+        return self._tag
 
     def compact(self) -> str:
         """Descending space-free rendering, e.g. ``r^2+r-1``."""
-        return _joined(_terms(self._nums, self._den, self._var, "")[::-1], "")
-
-    def __str__(self) -> str:
-        return self.text()
+        return _joined(_terms(self._nums, self._den, self._tag, "")[::-1], "")
 
     def __repr__(self) -> str:
-        return f"Poly({self.text()!r}, var={self._var!r})"
+        return f"Poly({self.text()!r}, var={self._tag!r})"
 
 
-class Quad:
+class Quad(_IntNumerators):
     """Element a + b*sqrt(d) of a quadratic extension of the rationals.
 
     ``d`` must be a squarefree integer other than 0 and 1 (negative values
-    are allowed).  Stored as ints ``(p, q, den)`` meaning
-    (p + q*sqrt(d))/den, with ``den > 0`` and no factor common to p, q
-    and den, so equal values have identical components; ``a`` and ``b``
-    build their Fractions when read.  Componentwise equality; values with
-    zero radical part also compare equal to the matching rational.
-    Arithmetic accepts ``int`` on either side; everything else needs
-    explicit promotion, and two different radicands never mix.
+    are allowed).  Stored as :class:`_IntNumerators` in t = sqrt(d),
+    products reduced by t^2 = d: numerators ``(p, q)``, or fewer once the
+    trailing zeros are stripped, meaning (p + q*sqrt(d))/den.  ``a`` and
+    ``b`` build their Fractions when read.  Values with zero radical part
+    compare equal to the matching rational whatever their radicand, but
+    two different radicands never mix in arithmetic.
     """
 
-    __slots__ = ("_p", "_q", "_den", "_d")
+    __slots__ = ()
 
     def __init__(self, a: int | Fraction, b: int | Fraction, d: int):
         quad_domain(d)
-        nums, den = _over_common_denominator([_as_fraction(a), _as_fraction(b)])
-        (self._p, self._q), self._den = _lowest(nums, den)
-        self._d = d
+        self._store((a, b), d)
 
-    @classmethod
-    def _new(cls, p: int, q: int, den: int, d: int) -> "Quad":
-        """Unchecked constructor for arithmetic results: (p + q*sqrt(d))/den
-        from ints with ``den > 0`` and ``d`` a valid radicand.  Reduces to
-        lowest terms."""
-        self = object.__new__(cls)
-        (self._p, self._q), self._den = _lowest((p, q), den)
-        self._d = d
-        return self
-
-    def _numerators(self) -> tuple[tuple[int, int], int]:
-        """The int numerators ``(p, q)`` and their common denominator."""
-        return (self._p, self._q), self._den
+    def _pair(self) -> tuple[int, int]:
+        """The numerators ``(p, q)``, zeros included."""
+        return (self._nums + (0, 0))[:2]
 
     @property
     def a(self) -> Fraction:
-        return Fraction(self._p, self._den)
+        return Fraction(self._pair()[0], self._den)
 
     @property
     def b(self) -> Fraction:
-        return Fraction(self._q, self._den)
+        return Fraction(self._pair()[1], self._den)
 
     @property
     def d(self) -> int:
-        return self._d
+        return self._tag
 
     @property
     def is_rational(self) -> bool:
-        return self._q == 0
+        return len(self._nums) <= 1
 
     def rational_value(self) -> Fraction:
-        if self._q != 0:
+        if not self.is_rational:
             raise ValueError(f"{self.text()} has a nonzero radical part")
         return self.a
 
     def conjugate(self) -> "Quad":
-        return Quad._new(self._p, -self._q, self._den, self._d)
+        p, q = self._pair()
+        return self._new((p, -q), self._den, self._tag)
 
     def _norm_numerator(self) -> int:
-        return self._p * self._p - self._d * self._q * self._q
+        p, q = self._pair()
+        return p * p - self._tag * q * q
 
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2; zero only for the zero element."""
         return Fraction(self._norm_numerator(), self._den * self._den)
 
     def inverse(self) -> "Quad":
-        if self._p == 0 and self._q == 0:
+        if not self._nums:
             raise DivisionByZero("cannot invert zero")
         # den/(p + q*sqrt(d)) = den*(p - q*sqrt(d))/n; keep the new
         # denominator |n| positive by moving the sign of n upstairs
+        p, q = self._pair()
         n = self._norm_numerator()
         s = self._den if n > 0 else -self._den
-        return Quad._new(s * self._p, -s * self._q, abs(n), self._d)
+        return self._new((s * p, -s * q), abs(n), self._tag)
 
-    def _parts(self, other: object) -> tuple[int, int, int] | None:
-        """``(p, q, den)`` of an int or a same-field Quad, else None."""
-        if isinstance(other, int) and not isinstance(other, bool):
-            return other, 0, 1
-        if isinstance(other, Quad):
-            if other._d != self._d:
-                raise DomainMismatch(
-                    f"cannot mix sqrt({self._d}) and sqrt({other._d}) values"
-                )
-            return other._p, other._q, other._den
-        return None
-
-    def _plus(self, p: int, q: int, den: int) -> "Quad":
-        return Quad._new(
-            self._p * den + p * self._den,
-            self._q * den + q * self._den,
-            self._den * den,
-            self._d,
-        )
-
-    def __add__(self, other: object) -> "Quad":
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(*o)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Quad":
-        return Quad._new(-self._p, -self._q, self._den, self._d)
-
-    def __sub__(self, other: object) -> "Quad":
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        p, q, den = o
-        return self._plus(-p, -q, den)
-
-    def __rsub__(self, other: object) -> "Quad":
-        return (-self).__add__(other)
-
-    def __mul__(self, other: object) -> "Quad":
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        p, q, den = o
-        return Quad._new(
-            self._p * p + self._d * self._q * q,
-            self._p * q + self._q * p,
-            self._den * den,
-            self._d,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Quad":
-        """Square-and-multiply on the raw numerator pairs (p, q), then one
-        ``_new`` over ``den ** n``: a single reduction to lowest terms
-        instead of one per product."""
-        d = self._d
-
-        def mul(x, y):
-            return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-        pair = _power((self._p, self._q), n, (1, 0), mul)
-        if pair is NotImplemented:
-            return pair
-        return Quad._new(*pair, self._den**n, d)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Quad):
-            if (self._p, self._q, self._den) != (other._p, other._q, other._den):
-                return False
-            return self._d == other._d or self._q == 0
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            # lowest terms on both sides: compare numerator and denominator
-            return (
-                self._q == 0
-                and other.numerator == self._p
-                and other.denominator == self._den
+    def _join_tag(self, other: "Quad") -> int:
+        if self._tag != other._tag:
+            raise DomainMismatch(
+                f"cannot mix sqrt({self._tag}) and sqrt({other._tag}) values"
             )
-        return NotImplemented
+        return self._tag
 
-    def __hash__(self) -> int:
-        if self._q == 0:
-            return hash(self.a)
-        return hash((self._p, self._q, self._den, self._d))
+    def _symbol(self) -> str:
+        return f"sqrt({self._tag})"
 
-    def text(self) -> str:
-        """Rendering like ``1/2 - 3/2*sqrt(5)``, the radical part last."""
-        return _joined(_terms((self._p, self._q), self._den, f"sqrt({self._d})"))
-
-    def __str__(self) -> str:
-        return self.text()
+    def _times(self, x: Sequence[int], y: Sequence[int]) -> Sequence[int]:
+        """(a + b*t)(c + e*t) with t^2 = d; the convolution when a factor
+        has fewer than two numerators, where nothing needs reducing."""
+        if len(x) < 2 or len(y) < 2:
+            return _IntNumerators._times(self, x, y)
+        (a, b), (c, e) = x, y
+        return a * c + self._tag * b * e, a * e + b * c
 
     def __repr__(self) -> str:
-        return f"Quad({self.a}, {self.b}, d={self._d})"
+        return f"Quad({self.a}, {self.b}, d={self._tag})"
 
 
 Scalar = int | Fraction | Poly | Quad
@@ -651,12 +621,8 @@ def _rational_parts(x: Scalar) -> tuple[int, int] | None:
     """``(p, q)`` with x == p/q and q > 0 for an int, a Fraction, a Quad
     with zero radical part or a constant Poly; None for an irrational
     Quad or a non-constant Poly.  Builds no Fraction."""
-    if isinstance(x, Quad):
-        return None if x._q else (x._p, x._den)
-    if isinstance(x, Poly):
-        if len(x._nums) > 1:
-            return None
-        return (x._nums[0] if x._nums else 0), x._den
+    if isinstance(x, _IntNumerators):
+        return x._ratio()
     return x.numerator, x.denominator
 
 
@@ -666,25 +632,26 @@ def _int_columns(
     """Lower non-empty rat, quad(d) or poly(x) ``values`` to int columns
     over one common denominator D; returns the columns and D.
 
-    A rat sequence is one column, a quad(d) sequence a rational-part and
-    a radical-part column, a poly(x) sequence one column per coefficient
-    index (at least one, so all-zero polynomials still yield rows).
-    Each row is scaled once to D, skipped where its denominator is D
-    already, as in every wpoly prefix, and the rows are transposed with
-    ``zip_longest``, which pads short poly rows with zeros.
-    ``values`` may also hold ints and Fractions that promote into ``dom``:
-    each is read into the rational column as it is (the radical column
-    of a quad gets a zero), so nothing is promoted first.
-    :func:`_from_int_columns` builds scalars back from such columns.
+    A row is the stored numerators of a Quad or Poly (trailing zeros
+    stripped), or ``(n,)`` for an int or a Fraction n/d that promotes
+    into ``dom``, so nothing is promoted first.  Column j holds the
+    numerators of s^j, s the indeterminate or sqrt(d): one column per
+    coefficient index up to the longest row, and at least one, so a
+    prefix of zeros still yields rows.  A quad(d) prefix has a radical
+    column only when some value has a radical part; a rational one is a
+    single column, as a rat sequence is.  Each row is scaled once to D,
+    skipped where its denominator is D already, as in every wpoly
+    prefix, and the rows are transposed with ``zip_longest``, which pads
+    short rows with zeros.  :func:`_from_int_columns` builds scalars
+    back from such columns.
     """
     if dom.kind == "rat":
         nums, den = _over_common_denominator(values)
         return [nums], den
-    pad = (0,) if dom.kind == "quad" else ()
     parts = [
         v._numerators()
-        if isinstance(v, (Poly, Quad))
-        else ((v.numerator, *pad), v.denominator)
+        if isinstance(v, _IntNumerators)
+        else ((v.numerator,), v.denominator)
         for v in values
     ]
     den = math.lcm(*[d for _, d in parts])
@@ -702,9 +669,8 @@ def _from_int_columns(
     dens = list(accumulate(repeat(q, len(columns[0]) - 1), operator.mul, initial=den))
     if dom.kind == "rat":
         return [Fraction(t, d_n) for t, d_n in zip(columns[0], dens)]
-    if dom.kind == "quad":
-        return [Quad._new(x, y, d_n, dom.d) for x, y, d_n in zip(*columns, dens)]
-    return [Poly._new(row, d_n, dom.var) for row, d_n in zip(zip(*columns), dens)]
+    cls, tag = (Quad, dom.d) if dom.kind == "quad" else (Poly, dom.var)
+    return [cls._new(row, d_n, tag) for row, d_n in zip(zip(*columns), dens)]
 
 
 # Outside these sizes a rational shift runs the kernel once per int
@@ -745,12 +711,13 @@ def _on_ints(kernel, values: Sequence[Scalar], r: Scalar, dom: Domain) -> list:
     to C int columns over one common denominator D
     (:func:`_int_columns`), entry k of each scaled by e^k (skipped when
     e is 1), so that the kernel run with S gives D * e^n times output n.
-    At a rational shift one column, the C columns of a short prefix
-    (N < 10 or C * N < 48) and those that need a slot width w (below)
-    over 1,536 bits run the kernel with p one column at a time.
+    At a rational shift one column (a rat prefix, or a quad prefix with
+    no radical part), the C columns of a short prefix (N < 10 or
+    C * N < 48) and those that need a slot width w (below) over 1,536
+    bits run the kernel with p one column at a time.
     Otherwise entry k is read as the int polynomial t'_k(x) =
-    sum_j col_j[k] x^j (x a formal variable for the two parts
-    of a quad, the indeterminate itself for a poly) and packed
+    sum_j col_j[k] x^j (x a formal variable standing for sqrt(d) in a
+    quad, the indeterminate itself for a poly) and packed
     Kronecker-style as its value at x = 2^w; the kernel runs once, with
     the int p = S(2^w).  Evaluation at 2^w is a ring map from Z[x] to Z,
     so output n is the value at 2^w of sum_k c_nk S^(n-k) t'_k, a

@@ -1,6 +1,7 @@
 """Exact scalar domains: arithmetic, promotion, rendering, parsing."""
 
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -58,7 +59,64 @@ PHI = Quad(Fraction(1, 2), Fraction(1, 2), 5)
 PSI = Quad(Fraction(1, 2), Fraction(-1, 2), 5)
 
 
+def squarefree_by_trial_division(n):
+    """``is_squarefree`` by trial division up to sqrt(n), the search
+    before the cube-root one (test oracle)."""
+    n = abs(n)
+    if n == 0 or n % 4 == 0:
+        return False
+    if n % 2 == 0:
+        n //= 2
+    f = 3
+    while f * f <= n:
+        if n % (f * f) == 0:
+            return False
+        if n % f == 0:
+            n //= f
+        f += 2
+    return True
+
+
+# primes on both sides of the cube roots of their products
+SQUAREFREE_PRIMES = (2, 3, 5, 7, 11, 97, 101, 463, 467, 997, 1009, 9973, 10007)
+
+
 class TestSquarefree:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(-(10**9), 10**9),
+            st.builds(
+                lambda primes, sign: sign * math.prod(primes),
+                st.lists(st.sampled_from(SQUAREFREE_PRIMES), max_size=4),
+                st.sampled_from((1, -1)),
+            ),
+        )
+    )
+    @example(0)
+    @example(1)
+    @example(-1)
+    @example(10007**2)
+    @example(9973 * 10007)
+    @example(999983**2)
+    @example(999983 * 1000003)
+    @example(8 * 999983)
+    def test_matches_trial_division(self, n):
+        assert is_squarefree.__wrapped__(n) is squarefree_by_trial_division(n)
+
+    def test_radicand_cap(self):
+        cap = exactnum._MAX_RADICAND
+        assert cap == 10**18
+        assert is_squarefree(cap) is False  # 2^18 * 5^18, at the cap
+        assert is_squarefree(-cap) is False
+        for n in (cap + 1, -cap - 1, 10**18 + 3, 10**40):
+            with pytest.raises(ValueError, match="above the cap"):
+                is_squarefree(n)
+            with pytest.raises(ValueError, match="above the cap"):
+                quad_domain(n)
+            with pytest.raises(ValueError, match="above the cap"):
+                Quad(1, 1, n)
+
     def test_basic(self):
         assert is_squarefree(2)
         assert is_squarefree(-5)
@@ -90,7 +148,7 @@ class TestSquarefree:
             assert is_squarefree.__wrapped__(n) is expected, n
 
     def test_large_radicand_checked_once(self):
-        d = 999999999989  # prime near 10^12: one check is ~10^6 divisions
+        d = 999999999989  # prime near 10^12: one check runs to its cube root
         is_squarefree.cache_clear()
         start = time.perf_counter()
         prefix = SequencePrefix([Quad(k, 1, d) for k in range(41)])
@@ -214,6 +272,19 @@ class TestQuad:
         assert hash(Quad(3, 0, 5)) == hash(3)
         assert Quad(3, 1, 5) != Quad(3, 1, 2)
 
+    def test_never_mixes_with_poly(self):
+        # Poly and Quad share their int-numerator core, but not a domain
+        p, q = Poly((3,), "x"), Quad(1, 1, 5)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(p, q)
+            with pytest.raises(TypeError):
+                op(q, p)
+        three = Quad(3, 0, 5)
+        assert p == 3 and three == 3
+        assert (p == three) is False
+        assert (three == p) is False
+
     def test_mixed_radicand_arithmetic_rejected(self):
         with pytest.raises(DomainMismatch):
             Quad(1, 1, 5) + Quad(1, 1, 2)
@@ -326,12 +397,19 @@ class TestArithmeticBuildsNoFraction:
         assert fractions_built[0] == 0
 
 
-class TestQuadPowerReducesOnce:
-    """Quad powers multiply raw numerator pairs: ``Quad ** 20`` brings
-    one result into lowest terms, not one per product."""
+class TestPowerReducesOnce:
+    """Quad and Poly powers multiply raw numerator tuples: ``x ** 20``
+    brings one result into lowest terms, not one per product."""
 
-    def test_power_20(self, monkeypatch):
-        q = Quad(Fraction(1, 2), Fraction(-3, 4), 5)
+    @pytest.mark.parametrize(
+        "x",
+        [
+            Quad(Fraction(1, 2), Fraction(-3, 4), 5),
+            Poly((Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)), "x"),
+        ],
+        ids=["quad", "poly"],
+    )
+    def test_power_20(self, monkeypatch, x):
         calls = [0]
         original = exactnum._lowest
 
@@ -340,17 +418,17 @@ class TestQuadPowerReducesOnce:
             return original(*args)
 
         monkeypatch.setattr(exactnum, "_lowest", counted)
-        got = q**20
+        got = x**20
         monkeypatch.undo()
         assert calls[0] == 1
-        assert got == power_by_quad_products(q, 20)
+        assert got == power_by_products(x, 20)
 
 
-def power_by_quad_products(q, n):
-    """``q ** n`` by square-and-multiply over Quad products, each brought
-    into lowest terms, the route before raw numerator pairs (test
-    oracle)."""
-    result, base = Quad(1, 0, q.d), q
+def power_by_products(x, n):
+    """``x ** n`` for a Quad or Poly ``x`` by square-and-multiply over
+    its products, each brought into lowest terms, the route before raw
+    numerator tuples (test oracle)."""
+    result, base = one(domain_of(x)), x
     while n:
         if n & 1:
             result = result * base
@@ -439,6 +517,13 @@ class TestDomains:
             X ** -1
         with pytest.raises(ValueError):
             PHI ** -1
+
+
+# pieces of the term grammar, joined in any order
+PARSE_TOKENS = (
+    *("0", "1", "12", "3/4", "0/5", "x", "x^2", "sqrt(5)", "sqrt(2)"),
+    *("*", "^3", "+", "-", " "),
+)
 
 
 class TestRenderParse:
@@ -553,6 +638,27 @@ class TestRenderParse:
         p = Poly(coeffs, var)
         assert parse_scalar(p.compact(), poly_domain(p.var)) == p
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.sampled_from((INT, RAT, poly_domain("x"), quad_domain(5))),
+        st.one_of(
+            st.text(alphabet="0123456789/+-*^ x()sqrt", max_size=24),
+            st.lists(st.sampled_from(PARSE_TOKENS), max_size=8).map("".join),
+        ),
+    )
+    @example(INT, "1/0")
+    @example(poly_domain("x"), "x^99999999999999999999")
+    @example(quad_domain(5), "sqrt(5)^2")
+    @example(quad_domain(5), "2sqrt(5) - 1/2")
+    def test_text_of_the_alphabet_parses_or_raises_value_error(self, dom, text):
+        # any other exception fails the test
+        try:
+            value = parse_scalar(text, dom)
+        except ValueError:
+            return
+        assert domain_of(value) == dom
+        assert parse_scalar(render_scalar(value), dom) == value
+
     @given(fractions_st)
     def test_rational_round_trip(self, q):
         assert parse_scalar(render_scalar(q), RAT) == q
@@ -644,7 +750,7 @@ class TestRingLaws:
     @example(Quad(0, 0, -3), 3)
     def test_quad_pow_matches_quad_products(self, q, n):
         got = q**n
-        want = power_by_quad_products(q, n)
+        want = power_by_products(q, n)
         assert got._numerators() == want._numerators()
         assert got.d == want.d
         assert _canonical(got) == want
@@ -807,8 +913,8 @@ class TestUnpromotedLowering:
     # promote, since a Quad times a Fraction is not defined
     @example(unpromoted_case(quad_domain(5), [Fraction(1, 2), Fraction(-3, 4)], Quad(1, 1, 5)))
     @example(unpromoted_case(quad_domain(-1), [1, 2, 3], Quad(0, -1, -1)))
-    # rational values in a quad target at a rational shift: two columns,
-    # the radical one all zero
+    # rational values in a quad target at a rational shift: one column,
+    # since no value has a radical numerator
     @example(unpromoted_case(quad_domain(5), [Fraction(1, 3), 2], Quad(Fraction(1, 2), 0, 5)))
     @example(unpromoted_case(quad_domain(999983), list(range(30)), Quad(-2, 0, 999983)))
     # packed: a Poly shift of a rational prefix
@@ -839,3 +945,30 @@ def check_same_result(got, want):
         assert_same_scalars(got.values, want.values)
     else:
         assert_same_scalars(got.coeffs, want.coeffs)
+
+
+class TestIntColumns:
+    """``exactnum._int_columns`` reads ints, Fractions, Quads and Polys by
+    their stored numerators: a quad prefix has a radical column only when
+    some value has a radical part, and ``_from_int_columns`` builds the
+    values back from either layout."""
+
+    @pytest.mark.parametrize(
+        "values, dom, columns, den",
+        [
+            ([1, Fraction(1, 2), Quad(3, 0, 5)], quad_domain(5), [[2, 1, 6]], 2),
+            ([Quad(0, 0, 5), 0], quad_domain(5), [[0, 0]], 1),
+            ([1, Quad(Fraction(1, 3), 2, 5)], quad_domain(5), [[3, 1], [0, 6]], 3),
+            (
+                [Fraction(-1, 2), Poly((0, 0, 1), "x")],
+                poly_domain("x"),
+                [[-1, 0], [0, 0], [0, 2]],
+                2,
+            ),
+        ],
+        ids=["rational-quad", "zero-quad", "quad", "poly"],
+    )
+    def test_layout_and_round_trip(self, values, dom, columns, den):
+        assert exactnum._int_columns(values, dom) == (columns, den)
+        back = exactnum._from_int_columns(columns, den, 1, dom)
+        assert_same_scalars(back, [promote(v, dom) for v in values])
