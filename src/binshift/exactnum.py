@@ -693,15 +693,8 @@ def _on_ints(kernel, values: Sequence[Scalar], r: Scalar, dom: Domain) -> list:
     """``kernel(list(values), r)``, run on native ints: once, on one
     packed column, wherever that pays.
 
-    The contract of ``kernel(t, r)``: it returns a list as long as ``t``
-    whose entry n is sum_k c_nk r^(n-k) t_k, where the c_nk are ints that
-    depend on neither t nor r and sum_k |c_nk| x^(n-k) <= (x + 1)^N for
-    every x >= 0 and every n (N + 1 the length of t), and it computes
-    that sum exactly for int t and r.  Its four callers are the
-    transform's table (c_nk = C(n, k), a sum of (x + 1)^n), the EGF
-    convolution and the OGF substitution (the same c_nk), and the Taylor
-    shift of the root shift (|c_nk| = C(N-k, n-k) <= C(N, n-k), a sum of
-    at most (x + 1)^N; at N = 2, n = 1 it is 2x + 1, above (x + 1)^n).
+    ``kernel`` meets the contract in the ``_kernels`` docstring: entry n
+    is sum_k c_nk r^(n-k) t_k, with sum_k |c_nk| x^(n-k) <= (x + 1)^N.
 
     ``values`` are in ``dom``, or are ints and Fractions that promote
     into it, read by :func:`_int_columns` as they are; ``r`` joins with

@@ -13,11 +13,9 @@ shift-r binomial transform of a is annihilated by P(X - r).  The shift
 preserves monicity, is additive in r, and undoes with -r.  In particular
 P(X) = X^2 - p X + q shifts to X^2 - (p + 2r) X + (r^2 + p r + q).
 
-P(X - r) is a Taylor shift, computed by Ruffini-Horner (von zur Gathen
-and Gerhard, ISSAC 1997): d passes of synthetic division by X + r, each
-the recurrence t_j <- t_j - r * t_{j-1}, d(d+1)/2 multiply-adds with no
-binomial coefficient and no power of r.  Every shift but an irrational
-Quad runs the passes on native ints, lowered by ``exactnum._on_ints``.
+P(X - r) is the Ruffini-Horner Taylor shift ``_kernels._taylor_shift``,
+run on native ints at every shift but an irrational Quad, lowered by
+``exactnum._on_ints``.
 
 :func:`unroll` and :func:`apply_char_operator` run on native ints for
 every recurrence whose coefficients are rational, whatever the domain
@@ -41,6 +39,7 @@ import operator
 from collections.abc import Iterable
 from itertools import accumulate, repeat
 
+from ._kernels import _continued, _operator_sums, _taylor_shift
 from .errors import NonInvertibleDomain, NonMonic, PrefixTooShort
 from .exactnum import (
     Domain,
@@ -257,32 +256,6 @@ def unroll(rec: Recurrence, n_max: int) -> SequencePrefix:
     return SequencePrefix._of(_from_int_columns(columns, den, e, dom), dom)
 
 
-def _continued(c, vals: list, n_max: int, acc0=0) -> list:
-    """``vals`` (d initial terms or fewer, extended in place) continued to
-    n_max by vals_n = -(sum_k c_k vals_{n-k}) for k = 1..d, each sum
-    started from ``acc0``; d + 1 is the length of ``c``.
-
-    Order 2 with both start values continues in two registers, in the
-    generic loop's order of operations: per term the interpreter's index
-    arithmetic and inner loop, not the arithmetic, set the cost there.
-    """
-    d = len(c) - 1
-    if d == 2 and len(vals) == 2:
-        _, c1, c2 = c
-        a, b = vals
-        append = vals.append
-        for _ in range(n_max - 1):
-            a, b = b, acc0 - c1 * b - c2 * a
-            append(b)
-        return vals
-    for n in range(d, n_max + 1):
-        acc = acc0
-        for k in range(1, d + 1):
-            acc = acc - c[k] * vals[n - k]
-        vals.append(acc)
-    return vals
-
-
 def apply_char_operator(p: CharPoly, a: PrefixLike) -> SequencePrefix:
     """(P(S) a)_n = sum_j p_{d-j} a_{n+j} for n = 0..len(a)-1-d.
 
@@ -318,30 +291,13 @@ def apply_char_operator(p: CharPoly, a: PrefixLike) -> SequencePrefix:
     return SequencePrefix._of(_from_int_columns(columns, den * e, 1, target), target)
 
 
-def _operator_sums(c, vals, acc0=0) -> list:
-    """Entry n is sum_j c_{d-j} vals_{n+j} for j = 0..d, started from
-    ``acc0``, for n = 0..len(vals)-1-d; d + 1 is the length of ``c``."""
-    d = len(c) - 1
-    out = []
-    for n in range(len(vals) - d):
-        acc = acc0
-        for j in range(d + 1):
-            acc = acc + c[d - j] * vals[n + j]
-        out.append(acc)
-    return out
-
-
 def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:
     """The polynomial P(X - r) annihilating the shift-r transform.
 
-    Ruffini-Horner Taylor shift on the descending coefficients: pass m
-    (m = d down to 1) is synthetic division by X + r,
-
-        t_j <- t_j - r * t_{j-1}    for j = 1..m,
-
-    after which t_m is final, so d(d+1)/2 multiply-adds in all.
-    ``exactnum._on_ints`` runs the passes on native ints at every shift
-    but an irrational Quad, on the coefficients of ``p`` as they are.
+    The Taylor shift ``_kernels._taylor_shift`` of the descending
+    coefficients, d(d+1)/2 multiply-adds; ``exactnum._on_ints`` runs it
+    on native ints at every shift but an irrational Quad, on the
+    coefficients of ``p`` as they are.
 
     The input must be monic; the output is then monic of the same degree,
     and shifting is additive in r with shift by -r as inverse.
@@ -353,15 +309,6 @@ def shift_characteristic(p: CharPoly, r: Scalar) -> CharPoly:
         )
     target = join_domains(p.domain, domain_of(r))
     return CharPoly._of(_on_ints(_taylor_shift, p.coeffs, r, target), target)
-
-
-def _taylor_shift(t: list, r) -> list:
-    """Descending coefficients of P(X - r), from those of P in ``t``
-    (overwritten): d passes of t_j <- t_j - r * t_{j-1}."""
-    for m in range(len(t) - 1, 0, -1):
-        for j in range(1, m + 1):
-            t[j] = t[j] - r * t[j - 1]
-    return t
 
 
 def transform_recurrence(rec: Recurrence, r: Scalar) -> Recurrence:

@@ -21,14 +21,14 @@ substitution (Horner in u) costs O(N^2) operations and one Riordan entry
 (n, k) costs O(k * (n - k)).  The EGF view is a binomial-row convolution
 of its own.
 
-Every shift but an irrational Quad runs the OGF and EGF loops on native
-ints, lowered by ``exactnum._on_ints``, which reads an int or rational
-series as it is and builds the results in the joined domain.  At a
-rational shift r = p/q the Riordan entry divides by 1 - p z on ints and
-builds one scalar over q^(n-k); at an irrational Quad or a non-constant
-Poly shift it runs on the scalars.  Where the shift the loops see is 1
-(r = 1/q lowers to it), the OGF's and the Riordan entry's divisions by
-1 - z are prefix sums (``itertools.accumulate``); every other shift
+Every shift but an irrational Quad runs the OGF and EGF loops of
+``_kernels`` on native ints, lowered by ``exactnum._on_ints``, which
+reads an int or rational series as it is and builds the results in the
+joined domain.  At a rational shift r = p/q the Riordan entry divides by
+1 - p z on ints and builds one scalar over q^(n-k); at an irrational
+Quad or a non-constant Poly shift it runs on the scalars.  Where the
+shift the loops see is 1 (r = 1/q lowers to it), the OGF's and the
+Riordan entry's divisions by 1 - z are prefix sums; every other shift
 runs the per-term recurrence.
 
 Results computed in an already-joined domain are built by the unchecked
@@ -39,10 +39,10 @@ keep the per-value join of ``unify``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
-from itertools import accumulate
 
+from ._kernels import _binomial_rows, _geometric_column, _horner_in_u
 from .errors import KindMismatch, OrderMismatch
 from .exactnum import (
     Domain,
@@ -241,49 +241,25 @@ def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return TruncSeries._of(f.kind, out, target)
 
 
-def _over_geometric(xs: Sequence[Scalar], r: Scalar, order: int) -> list:
-    """Orders 0..order of xs(z) / (1 - r z), for len(xs) > order.
-
-    Dividing by 1 - r z is the recurrence w_j = x_j + r * w_{j-1}: O(order)
-    operations and no Cauchy product.  At r = 1 it is a prefix sum.
-    """
-    if r == 1:
-        return list(accumulate(xs[: order + 1]))
-    w = [xs[0]]
-    for j in range(1, order + 1):
-        w.append(xs[j] + r * w[-1])
-    return w
-
-
 def series_compose_geometric(f: TruncSeries, r: Scalar) -> TruncSeries:
     """OGF action of the shift-r transform:
 
         A(z) -> (1 - r z)^(-1) * A(z / (1 - r z))
 
     A(u) at u = z/(1 - r z) is evaluated by Horner in u from c_N down to
-    c_0, acc <- c_k + z * acc/(1 - r z), with each division by 1 - r z the
-    recurrence of :func:`_over_geometric` (a prefix sum at r = 1).  u^k
-    has valuation k, so only orders 0..N-k of acc reach the result; one
-    last division applies (1 - r z)^(-1).  O(N^2) operations in all;
-    coefficient n of the result depends only on input coefficients 0..n.
-    ``exactnum._on_ints`` runs the loop on native ints at every shift but
-    an irrational Quad, on the coefficients of ``f`` as they are.
+    c_0, acc <- c_k + z * acc/(1 - r z), with each division by 1 - r z
+    the recurrence of ``_kernels._over_geometric`` (a prefix sum at
+    r = 1).  u^k has valuation k, so only orders 0..N-k of acc reach the
+    result; one last division applies (1 - r z)^(-1).  O(N^2) operations
+    in all; coefficient n of the result depends only on input
+    coefficients 0..n.  ``exactnum._on_ints`` runs the loop on native
+    ints at every shift but an irrational Quad, on ``f`` as it is.
     """
     if f.kind != OGF:
         raise KindMismatch("geometric substitution acts on ogf series")
     target = join_domains(f.domain, domain_of(r))
     out = _on_ints(_horner_in_u, f.coeffs, r, target)
     return TruncSeries._of(OGF, out, target)
-
-
-def _horner_in_u(c: list, r) -> list:
-    """Coefficients 0..N of (1 - r z)^(-1) * A(z / (1 - r z)) for the
-    coefficients c_0..c_N of A."""
-    n_ord = len(c) - 1
-    acc = [c[n_ord]]
-    for k in range(n_ord - 1, -1, -1):
-        acc = [c[k]] + _over_geometric(acc, r, n_ord - k - 1)
-    return _over_geometric(acc, r, n_ord)
 
 
 def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
@@ -305,22 +281,6 @@ def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
     return TruncSeries._of(EGF, out, target)
 
 
-def _binomial_rows(a: Sequence, r) -> list:
-    """b_n = sum_k C(n, k) r^(n-k) a_k for n = 0..len(a)-1."""
-    powers = [r]  # powers[i] = r^(i+1)
-    for _ in range(len(a) - 2):
-        powers.append(powers[-1] * r)
-    out = []
-    for n in range(len(a)):
-        acc = a[n]  # the term k = n
-        c = 1  # C(n, k)
-        for k in range(n):
-            acc = acc + c * (powers[n - k - 1] * a[k])
-            c = c * (n - k) // (k + 1)
-        out.append(acc)
-    return out
-
-
 def riordan_entry(r: Scalar, n: int, k: int) -> Scalar:
     """Entry (n, k) of the transform's Riordan array.
 
@@ -328,9 +288,9 @@ def riordan_entry(r: Scalar, n: int, k: int) -> Scalar:
     coefficient of z^n in (1 - r z)^(-1) * (z (1 - r z)^(-1))^k.  The
     factor z^k only moves the coefficient read, so the entry is
     coefficient n - k of the column [1, 0, ...] divided k + 1 times by
-    1 - r z with :func:`_over_geometric`: O(k * (n - k)) operations.  At a
-    rational shift r = p/q the divisions run by 1 - p z on ints, which
-    gives q^(n-k) times the entry, and the entry is built once over
+    1 - r z (``_kernels._geometric_column``): O(k * (n - k)) operations.
+    At a rational shift r = p/q the divisions run by 1 - p z on ints,
+    which gives q^(n-k) times the entry, and the entry is built once over
     q^(n-k) in the domain of r.  It equals C(n, k) * r^(n-k) and vanishes
     for k > n.
     """
@@ -347,11 +307,3 @@ def riordan_entry(r: Scalar, n: int, k: int) -> Scalar:
     if dom.kind == "int":
         return entry
     return promote(Fraction(entry, q ** (n - k)), dom)
-
-
-def _geometric_column(one_s: Scalar, zero_s: Scalar, r, order: int, times: int):
-    """Coefficient ``order`` of 1 / (1 - r z)^times."""
-    column = [one_s] + [zero_s] * order
-    for _ in range(times):
-        column = _over_geometric(column, r, order)
-    return column[-1]

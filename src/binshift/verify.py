@@ -105,15 +105,15 @@ class SuiteReport(namedtuple("SuiteReport", "suite seed requested_cases properti
         return all(p.ok for p in self.properties)
 
 
-def _rand_fraction(rng: random.Random, bound: int = 9, max_den: int = 9) -> Fraction:
+def _rand_fraction(rng, bound: int = 9, max_den: int = 9) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, max_den))
 
 
-def _rand_rat_prefix(rng: random.Random, length: int) -> SequencePrefix:
+def _rand_rat_prefix(rng, length: int) -> SequencePrefix:
     return SequencePrefix([_rand_fraction(rng) for _ in range(length)], RAT)
 
 
-def _rand_monic(rng: random.Random, max_degree: int) -> CharPoly:
+def _rand_monic(rng, max_degree: int) -> CharPoly:
     d = rng.randint(1, max_degree)
     tail = [_rand_fraction(rng, 5, 4) for _ in range(d - 1)]
     # keep the constant term nonzero so unrolled sequences stay generic

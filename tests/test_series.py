@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binshift import series
+from binshift import _kernels
 from binshift.errors import KindMismatch, OrderMismatch
 from binshift.exactnum import (
     INT,
@@ -576,14 +576,14 @@ class TestRationalShiftViewsDifferential:
 def prefix_sum_runs():
     """Counts the prefix sums (``accumulate`` calls) of the series views."""
     calls = [0]
-    original = series.accumulate
+    original = _kernels.accumulate
 
     def counted(*args):
         calls[0] += 1
         return original(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "accumulate", counted)
+        mp.setattr(_kernels, "accumulate", counted)
         yield calls
 
 

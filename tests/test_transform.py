@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binshift import exactnum, transform
+from binshift import _kernels, exactnum, transform
+from binshift._kernels import _difference_table
 from binshift.errors import DomainMismatch, PrefixTooShort
 from binshift.exactnum import (
     INT,
@@ -24,7 +25,6 @@ from binshift.exactnum import (
 from binshift.families import family_names, family_prefix
 from binshift.transform import (
     SequencePrefix,
-    _difference_table,
     apply_transform,
     as_prefix,
     compose_transforms,
@@ -208,13 +208,13 @@ class TestDifferentialKernel:
         assert_same_scalars(out.values, generic)
 
 
-UNIT_TERMS = transform._UNIT_MIN_TERMS
+UNIT_TERMS = _kernels._UNIT_MIN_TERMS
 
 
 def unit_bits_limit(n_last):
     """The largest bit length of an int shift for which the unit table
     runs on a column whose last index is ``n_last``."""
-    return math.isqrt(transform._UNIT_MAX_N_BITS2 // max(n_last, 1))
+    return math.isqrt(_kernels._UNIT_MAX_N_BITS2 // max(n_last, 1))
 
 
 @st.composite
@@ -281,13 +281,13 @@ class TestKernelSelection:
     @pytest.fixture
     def multiply_add_calls(self, monkeypatch):
         calls = [0]
-        original = transform._difference_table
+        original = _kernels._difference_table
 
         def counted(column, p):
             calls[0] += 1
             return original(column, p)
 
-        monkeypatch.setattr(transform, "_difference_table", counted)
+        monkeypatch.setattr(_kernels, "_difference_table", counted)
         return calls
 
     @pytest.mark.parametrize(
@@ -360,7 +360,7 @@ class TestRecurrenceRoute:
         if broken is not None:
             column = column[:]
             column[broken] += 1
-        route = transform._shifted_recurrence(column, p)
+        route = _kernels._shifted_recurrence(column, p)
         if broken is not None or not any(column[:2]):
             assert route is None
         else:
@@ -373,14 +373,14 @@ class TestRecurrenceRoute:
     def route_calls(self, monkeypatch):
         """Per ``_shifted_recurrence`` call, whether it took the route."""
         calls = []
-        original = transform._shifted_recurrence
+        original = _kernels._shifted_recurrence
 
         def counted(column, p):
             out = original(column, p)
             calls.append(out is not None)
             return out
 
-        monkeypatch.setattr(transform, "_shifted_recurrence", counted)
+        monkeypatch.setattr(_kernels, "_shifted_recurrence", counted)
         return calls
 
     @pytest.mark.parametrize("name", family_names())

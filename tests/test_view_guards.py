@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binshift import transform
+from binshift import _kernels
 from binshift.exactnum import Poly, Quad, domain_of, join_domains, one, promote, unify
 from binshift.families import family_binet_form, family_prefix, family_recurrence
 from binshift.models import (
@@ -186,9 +186,10 @@ def check_views_without_transform(monkeypatch, r, scale):
         raise AssertionError("a view called the transform kernel")
 
     bindings = _binshift_bindings(
-        apply_transform, transform._table, transform._difference_table
+        apply_transform, _kernels._table, _kernels._difference_table
     )
     assert len(bindings) >= 5
+    assert {"binshift.transform", "binshift._kernels"} <= {m.__name__ for m, _ in bindings}
     for mod, attr in bindings:
         monkeypatch.setattr(mod, attr, raiser)
 
