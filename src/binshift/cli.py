@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import re
 import sys
 from collections import namedtuple
@@ -419,17 +420,41 @@ _COMMANDS = {  # name -> (handler, help, --format choices)
 }
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's default width, the terminal's columns - 2, found without importing shutil."""
+
+    def __init__(self, prog: str) -> None:
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+            except (AttributeError, ValueError, OSError):
+                columns = 80
+        super().__init__(prog, width=columns - 2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="binshift",
         description="Exact shift-parameterized binomial transforms of sequences.",
+        formatter_class=_Formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, help=c[1]) for name, c in _COMMANDS.items()}
+    commands = {
+        name: sub.add_parser(name, help=c[1], formatter_class=_Formatter)
+        for name, c in _COMMANDS.items()
+    }
     # Arguments are added in their --help order, --format last.
     source = commands["transform"].add_mutually_exclusive_group(required=True)
     source.add_argument("--family", help="registered family name")
-    source.add_argument("--inline", help="comma-separated integers/rationals")
+    source.add_argument(
+        "--inline",
+        help="comma-separated integers/rationals"
+        " (use --inline=-1,2,3 when the first entry is negative)",
+    )
     commands["shift-poly"].add_argument(
         "coeffs",
         help="comma-separated descending coefficients, leading 1 (e.g. 1,-1,-1)",

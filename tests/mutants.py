@@ -1,7 +1,7 @@
-"""Named mutants of the ring loops in ``binshift._kernels``, and a runner.
+"""Named mutants of the source, and a runner.
 
 Each entry of :data:`MUTANTS` is a reviewed defect that the tests must
-catch: an exact snippet of a file under ``src/binshift`` (it occurs
+catch: an exact snippet of any file under ``src/binshift`` (it occurs
 once), its replacement, and the pytest node ids that must fail with it.
 pytest does not collect this file; ``tests/test_static.py`` checks that
 every snippet occurs exactly once and every node id names a test, so a
@@ -31,6 +31,9 @@ Mutant = namedtuple("Mutant", "name file snippet replacement node_ids")
 
 ROUTE = ("tests/test_transform.py::TestRecurrenceRoute",)
 SOLVED = "_taylor_shift([-1, c1, c2], p)"
+PACKED = ("tests/test_exactnum.py::TestPackedColumns",)
+ONE_RUN = ("tests/test_transform.py::TestOneKernelRun",)
+SAME_HELP = ("tests/test_cli.py::TestHelp::test_same_bytes_as_stock_formatter",)
 
 MUTANTS = (
     # the root-shift route
@@ -157,6 +160,90 @@ MUTANTS = (
         "for _ in range(times):",
         "for _ in range(times - 1):",
         ("tests/test_series.py::TestRiordanEntry",),
+    ),
+    # the int lowering: packing the columns of a quad or poly prefix
+    Mutant(
+        "pack-w-one-bit-short",
+        "exactnum.py",
+        "w = (top * (norm + 1) ** n).bit_length() + 1",
+        "w = (top * (norm + 1) ** n).bit_length()",
+        PACKED,
+    ),
+    Mutant(
+        "unpack-without-bias",
+        "exactnum.py",
+        "_split([v + bias for v in packed], slots, w, half)",
+        "_split(packed, slots, w, 0)",
+        PACKED,
+    ),
+    Mutant(
+        "unpack-two-slots-without-bias",
+        "exactnum.py",
+        "hi = [(v + half) >> w for v in packed]",
+        "hi = [v >> w for v in packed]",
+        PACKED,
+    ),
+    Mutant(
+        "pack-merge-order-swapped",
+        "exactnum.py",
+        "[x + (y << shift) for x, y in zip(lo, hi)]",
+        "[y + (x << shift) for x, y in zip(lo, hi)]",
+        PACKED,
+    ),
+    Mutant(
+        "unpack-split-order-swapped",
+        "exactnum.py",
+        """_split([v & mask for v in biased], low, w, half) + _split(
+        [v >> cut for v in biased], slots - low, w, half
+    )""",
+        """_split([v >> cut for v in biased], slots - low, w, half) + _split(
+        [v & mask for v in biased], low, w, half
+    )""",
+        PACKED,
+    ),
+    Mutant(
+        "symbolic-shift-without-e^k-scaling",
+        "exactnum.py",
+        "if e != 1:",
+        "if e != 1 and not deg:",
+        PACKED,
+    ),
+    Mutant(
+        "shift-norm-from-leading-coefficient",
+        "exactnum.py",
+        "sum(map(abs, shift_nums))",
+        "abs(shift_nums[-1])",
+        PACKED,
+    ),
+    Mutant(
+        "never-packed-at-rational-shift",
+        "exactnum.py",
+        "len(columns) == 1 or n < _PACK_MIN_N",
+        "True",
+        ONE_RUN,
+    ),
+    Mutant(
+        "short-prefixes-packed",
+        "exactnum.py",
+        " or n < _PACK_MIN_N or len(columns) * n < _PACK_MIN_CN",
+        "",
+        ONE_RUN,
+    ),
+    Mutant("no-width-limit", "exactnum.py", "elif w > _PACK_MAX_W:", "elif False:", ONE_RUN),
+    # the CLI's help width
+    Mutant(
+        "help-width-without-minus-2",
+        "cli.py",
+        "super().__init__(prog, width=columns - 2)",
+        "super().__init__(prog, width=columns)",
+        SAME_HELP,
+    ),
+    Mutant(
+        "help-width-ignores-COLUMNS",
+        "cli.py",
+        'columns = int(os.environ["COLUMNS"])',
+        "columns = 0",
+        SAME_HELP,
     ),
 )
 

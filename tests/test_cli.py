@@ -1,9 +1,12 @@
 """End-to-end CLI behavior via in-process main() calls."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
+import sys
 import time
 from pathlib import Path
 
@@ -390,6 +393,37 @@ class TestInputLimits:
         assert code == 0 and out == inline.replace(",", " ") + "\n"
 
 
+def _help_bytes(capsys):
+    """format_help() and format_usage() of the top parser and of every
+    subparser, and the stderr of one usage error."""
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = [parser, *sub.choices.values()]
+    texts = [text for p in parsers for text in (p.format_help(), p.format_usage())]
+    with pytest.raises(SystemExit):
+        main(["transform", "--format", "bad"])
+    return texts, capsys.readouterr().err
+
+
+def _no_terminal(fd):
+    raise OSError("not a terminal")
+
+
+def _terminal(columns):
+    size = os.terminal_size((columns, 24))
+    return lambda mp: mp.setattr(os, "get_terminal_size", lambda fd: size)
+
+
+# Where the width comes from when COLUMNS gives none: no terminal, a
+# 100-column one, one that reports 0 columns, and no sys.__stdout__ at all.
+_TERMINALS = {
+    "no-tty": lambda mp: mp.setattr(os, "get_terminal_size", _no_terminal),
+    "tty-100": _terminal(100),
+    "tty-0": _terminal(0),
+    "stdout-None": lambda mp: mp.setattr(sys, "__stdout__", None),
+}
+
+
 class TestHelp:
     def test_length_help_names_both_caps(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -398,6 +432,33 @@ class TestHelp:
         text = " ".join(capsys.readouterr().out.split())
         caps = f"at most {cli.MAX_INDEX}, or {cli.MAX_POLY_INDEX} for a polynomial"
         assert caps in text
+
+    def test_inline_help_gives_the_attached_form(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["transform", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(use --inline=-1,2,3 when the first entry is negative)" in text
+
+    def test_attached_inline_takes_a_negative_first_entry(self, capsys):
+        assert run_cli(capsys, "transform", "--inline=-1,2,3") == (0, "-1 2 3\n", "")
+
+    @pytest.mark.parametrize("terminal", _TERMINALS)
+    @pytest.mark.parametrize(
+        "columns",
+        [None, "40", "200", "0", "abc", "-3", " 60"],
+        ids=["unset", "40", "200", "0", "abc", "-3", "space-60"],
+    )
+    def test_same_bytes_as_stock_formatter(self, capsys, monkeypatch, columns, terminal):
+        """cli's formatter finds the width that argparse's stock formatter
+        finds through shutil, under each COLUMNS value and terminal."""
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        _TERMINALS[terminal](monkeypatch)
+        ours = _help_bytes(capsys)
+        monkeypatch.setattr(cli, "_Formatter", argparse.HelpFormatter)
+        assert ours == _help_bytes(capsys)
 
 
 # Literals around every parse rule and at and just over the literal cap

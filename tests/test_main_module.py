@@ -16,6 +16,9 @@ SRC = str(Path(binshift.__file__).resolve().parent.parent)
 # it ``ast``, ``dis`` and ``tokenize``); with ``typing`` they add about 30 ms to
 # every ``python -m binshift`` call.
 HEAVY = ("typing", "dataclasses", "inspect")
+# ``shutil`` and what it imports: argparse's stock help formatter imports it
+# for the terminal width each time a parser or an argument is built.
+SHUTIL = ("shutil", "zlib", "bz2", "lzma", "fnmatch")
 
 
 def run_python(*args):
@@ -61,15 +64,40 @@ def test_cli_import_loads_no_heavy_modules():
     assert proc.stdout == "[]\n"
 
 
-def test_plain_family_call_imports_no_heavy_modules():
-    # json and csv are imported only by the format that prints them, random
-    # only by verify.
-    proc = run_python("-S", "-B", "-X", "importtime", "-m", "binshift", "family")
-    assert proc.returncode == 0 and proc.stdout.startswith("fibonacci ")
+def run_importtime(*argv):
+    """The child's result and the names of the modules it imported."""
+    proc = run_python("-S", "-B", "-X", "importtime", "-m", "binshift", *argv)
     imported = {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
     assert "binshift.cli" in imported
-    assert imported.isdisjoint({*HEAVY, "json", "csv", "random"})
+    return proc, imported
+
+
+def test_plain_family_call_imports_no_heavy_modules():
+    # json and csv are imported only by the format that prints them, random
+    # only by verify.
+    proc, imported = run_importtime("family")
+    assert proc.returncode == 0 and proc.stdout.startswith("fibonacci ")
+    assert imported.isdisjoint({*HEAVY, *SHUTIL, "json", "csv", "random"})
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("transform", "--family", "pell", "-r=-1/2", "--format", "oeis"), 0),
+        (("shift-poly", "1,-1,-1", "-r", "2", "--format", "json"), 0),
+        (("table", "segments", "--format", "csv"), 0),
+        (("verify", "semigroup", "--cases", "2", "-n", "3", "--format", "json"), 0),
+        (("family", "--format", "csv"), 0),
+        (("transform", "--help"), 0),
+        (("transform", "--format", "bad"), 2),
+    ],
+    ids=["transform", "shift-poly", "table", "verify", "family", "help", "usage-error"],
+)
+def test_no_call_imports_shutil(argv, code):
+    proc, imported = run_importtime(*argv)
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    assert imported.isdisjoint({*HEAVY, *SHUTIL})
