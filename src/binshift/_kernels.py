@@ -23,6 +23,9 @@ Ruffini-Horner :func:`_taylor_shift` of von zur Gathen and Gerhard
 (ISSAC 1997).  Otherwise the table conjugates the unit table,
 T_p = D_p T_1 D_p^(-1) with D_p = diag(p^n) (the scaling of Shaw and
 Traub's Taylor shift, JACM 21, 1974), or runs the multiply-add table.
+The unit table is N^2/2 additions, one prefix sum per input term; the
+sums nest as lazy ``accumulate`` passes and are listed once per
+``_UNIT_CHUNK`` terms, so one list is built per chunk, not per pass.
 """
 
 from __future__ import annotations
@@ -32,17 +35,30 @@ from collections.abc import Iterable, Sequence
 from itertools import accumulate, repeat
 
 # Chosen from a grid of best-of timings against _difference_table on
-# columns of 64-bit ints (Python 3.11, 2-vCPU VM).  Below 26 terms the
-# fixed costs make the unit table up to 1.3x slower at |p| >= 2.  With
-# b = bit_length(p) its entries are N*b bits longer than the inputs
-# (about half that in the multiply-add table) and the divisions by
-# p^(N-n) grow as b^2 N^3: past N * b^2 = 2^14 it loses.  The
+# columns of 64-bit ints (Python 3.11, 2-vCPU VM), where the unit table
+# lost below 26 terms and past N * b^2 = 2^14, b = bit_length(p).  On
+# the pipelined unit table, recurrence filter included (best of 15, p =
+# +-1, +-2, 3, 9), it takes 1.1-1.8x the multiply-add table's time at 8
+# terms, 0.7-1.2x at 12-16, 0.6-0.9x at 20-24 and 0.5-0.85x from 26 on,
+# and p = 1 wins from about 10 terms.  Its entries are N*b bits longer
+# than the inputs (about half that in the multiply-add table) and the
+# divisions by p^(N-n) grow as b^2 N^3, yet at N * b^2 = 2^14 it takes
+# 0.61-0.64x at N = 64, 256 and 1,024, 0.78-0.91x at 2^16, and it loses
+# by 2^17.  Both gates stay as first chosen.  The
 # recurrence route shares the 26-term gate: on Fibonacci columns it beats
 # the multiply-add table from 12 terms (6.0 against 9.7 us at p = 1),
 # but its filter adds 1-2 us, 5-25% of the table at 8-16 terms, to every
 # column without such a recurrence.
 _UNIT_MIN_TERMS = 26
 _UNIT_MAX_N_BITS2 = 1 << 14
+
+# The unit table nests this many passes as lazy ``accumulate`` iterators
+# and lists them once: the same additions in the same order, but one list
+# built and freed per chunk instead of one per pass.  Chosen from a grid
+# on random 64-bit columns at N = 375-875 and p = -2..3, best of 15:
+# the table took 0.96x the time of one list per pass at 4, 0.93x at 8,
+# 0.90x at 10, 0.89x at 12, 0.96x at 16 and 1.00x at 24.
+_UNIT_CHUNK = 12
 
 
 def _table(column: list, p) -> list:
@@ -59,8 +75,11 @@ def _table(column: list, p) -> list:
        (:func:`_shifted_recurrence`);
     2. while N * bit_length(p)^2 <= ``_UNIT_MAX_N_BITS2``, D_p T_1
        D_p^(-1): entry k is scaled by p^(N-k), the unit table runs as
-       Horner in u = z/(1 - z), one prefix sum per input term, and
-       output n is divided exactly by p^(N-n);
+       Horner in u = z/(1 - z), one prefix sum per input term from the
+       last, and output n is divided exactly by p^(N-n).  The prefix
+       sums run in chunks of ``_UNIT_CHUNK`` terms: each sum of a chunk
+       is an ``accumulate`` over the one before, and listing the last
+       runs them all, element by element;
     3. :func:`_difference_table`.
     """
     n = len(column) - 1
@@ -75,8 +94,10 @@ def _table(column: list, p) -> list:
         scale = list(accumulate(repeat(p, n), operator.mul, initial=1))[::-1]
         column = list(map(operator.mul, column, scale))  # entry k times p^(N-k)
     g = []
-    for c in reversed(column):
-        g = list(accumulate(g, initial=c))
+    for end in range(len(column), 0, -_UNIT_CHUNK):
+        for c in reversed(column[max(end - _UNIT_CHUNK, 0) : end]):
+            g = accumulate(g, initial=c)  # a pass, run when g is listed
+        g = list(g)
     if p != 1:
         g = list(map(operator.floordiv, g, scale))
     return g

@@ -34,6 +34,17 @@ SOLVED = "_taylor_shift([-1, c1, c2], p)"
 PACKED = ("tests/test_exactnum.py::TestPackedColumns",)
 ONE_RUN = ("tests/test_transform.py::TestOneKernelRun",)
 SAME_HELP = ("tests/test_cli.py::TestHelp::test_same_bytes_as_stock_formatter",)
+UNIT = ("tests/test_transform.py::TestUnitTable",)
+CHUNK_LISTS = (
+    "tests/test_transform.py::TestKernelSelection::test_unit_table_lists_once_per_chunk",
+)
+CHUNK_SLICE = "column[max(end - _UNIT_CHUNK, 0) : end]"
+CHUNK_ENDS = "range(len(column), 0, -_UNIT_CHUNK)"
+QUAD = "tests/test_exactnum.py::TestQuad"
+POLY = "tests/test_exactnum.py::TestPoly"
+SQUAREFREE = "tests/test_exactnum.py::TestSquarefree"
+INT_COLUMNS = ("tests/test_exactnum.py::TestIntColumns",)
+ORACLE = ("tests/test_exactnum_oracle.py::TestAgainstFractionReference",)
 
 MUTANTS = (
     # the root-shift route
@@ -88,6 +99,60 @@ MUTANTS = (
         "g = list(map(operator.floordiv, g, scale))",
         "g = list(map(operator.mul, g, scale))",
         ("tests/test_transform.py::TestKernelSelection::test_unit_table_runs",),
+    ),
+    # the unit table's chunks of lazy passes
+    Mutant(
+        "unit-chunk-drops-its-last-input",
+        "_kernels.py",
+        CHUNK_SLICE,
+        "column[max(end - _UNIT_CHUNK, 0) + 1 : end]",
+        UNIT,
+    ),
+    Mutant(
+        "unit-chunks-from-the-front",
+        "_kernels.py",
+        CHUNK_ENDS,
+        "range(_UNIT_CHUNK, len(column) + _UNIT_CHUNK, _UNIT_CHUNK)",
+        UNIT,
+    ),
+    Mutant(
+        "unit-chunk-inputs-not-reversed",
+        "_kernels.py",
+        f"reversed({CHUNK_SLICE})",
+        CHUNK_SLICE,
+        UNIT,
+    ),
+    Mutant(
+        "unit-chunk-of-one-dropped",
+        "_kernels.py",
+        CHUNK_ENDS,
+        "range(len(column), 1, -_UNIT_CHUNK)",
+        UNIT + CHUNK_LISTS,
+    ),
+    Mutant(
+        "unit-chunk-start-unclamped",
+        "_kernels.py",
+        "max(end - _UNIT_CHUNK, 0)",
+        "end - _UNIT_CHUNK",
+        UNIT + CHUNK_LISTS,
+    ),
+    Mutant(
+        "unit-list-per-pass",
+        "_kernels.py",
+        "g = accumulate(g, initial=c)",
+        "g = list(accumulate(g, initial=c))",
+        CHUNK_LISTS,
+    ),
+    Mutant(
+        "unit-list-one-chunk-early",
+        "_kernels.py",
+        f"""        for c in reversed({CHUNK_SLICE}):
+            g = accumulate(g, initial=c)  # a pass, run when g is listed
+        g = list(g)""",
+        f"""        g = list(g)
+        for c in reversed({CHUNK_SLICE}):
+            g = accumulate(g, initial=c)""",
+        CHUNK_LISTS,
     ),
     Mutant(
         "difference-table-transposed",
@@ -230,6 +295,126 @@ MUTANTS = (
         ONE_RUN,
     ),
     Mutant("no-width-limit", "exactnum.py", "elif w > _PACK_MAX_W:", "elif False:", ONE_RUN),
+    # the int-numerator core shared by Poly and Quad, and the radicand check
+    Mutant(
+        "quad-square-reduced-with-minus-d",
+        "exactnum.py",
+        "return a * c + self._tag * b * e, a * e + b * c",
+        "return a * c - self._tag * b * e, a * e + b * c",
+        (f"{QUAD}::test_golden_ratio_relations", f"{QUAD}::test_pow"),
+    ),
+    Mutant(
+        "quad-times-fallback-flipped",
+        "exactnum.py",
+        "if len(x) < 2 or len(y) < 2:",
+        "if len(x) >= 2 and len(y) >= 2:",
+        (f"{QUAD}::test_pow",),
+    ),
+    Mutant(
+        "quad-tags-joined-without-radicand-check",
+        "exactnum.py",
+        """    def _join_tag(self, other: "Quad") -> int:
+        if self._tag != other._tag:""",
+        """    def _join_tag(self, other: "Quad") -> int:
+        if False:""",
+        (f"{QUAD}::test_mixed_radicand_arithmetic_rejected",),
+    ),
+    Mutant(
+        "eq-ignores-the-tag-of-irrationals",
+        "exactnum.py",
+        "return len(self._nums) <= 1 or self._tag == other._tag",
+        "return True",
+        (
+            f"{QUAD}::test_rational_values_compare_across_radicands",
+            f"{POLY}::test_nonconstants_need_matching_variable",
+        ),
+    ),
+    Mutant(
+        "rational-hashed-as-a-tuple",
+        "exactnum.py",
+        "return hash(Fraction(*ratio))",
+        "return hash((self._nums, self._den))",
+        (
+            f"{QUAD}::test_rational_values_compare_across_radicands",
+            f"{POLY}::test_constants_compare_across_variables",
+        ),
+    ),
+    Mutant(
+        "new-keeps-trailing-zeros",
+        "exactnum.py",
+        "if nums and not nums[-1]:",
+        "if False:",
+        (f"{QUAD}::test_golden_ratio_relations",),
+    ),
+    Mutant(
+        "quad-rows-read-as-two-numerators",
+        "exactnum.py",
+        """    cls, tag = (Quad, dom.d) if dom.kind == "quad" else (Poly, dom.var)""",
+        """    if dom.kind == "quad":
+        return [Quad._new((x, y), d_n, dom.d) for x, y, d_n in zip(*columns, dens)]
+    cls, tag = (Quad, dom.d) if dom.kind == "quad" else (Poly, dom.var)""",
+        INT_COLUMNS,
+    ),
+    Mutant(
+        "quad-rows-padded-to-two-numerators",
+        "exactnum.py",
+        "else ((v.numerator,), v.denominator)",
+        """else ((v.numerator, 0) if dom.kind == "quad" else (v.numerator,), v.denominator)""",
+        INT_COLUMNS,
+    ),
+    Mutant(
+        "sub-adds",
+        "exactnum.py",
+        "return self.__add__(other, -1)",
+        "return self.__add__(other, 1)",
+        ORACLE,
+    ),
+    Mutant(
+        "sum-takes-self-tag-without-join",
+        "exactnum.py",
+        """tag = self._tag if self._tag == other._tag else self._join_tag(other)
+            b, b_den""",
+        """tag = self._tag
+            b, b_den""",
+        (
+            f"{QUAD}::test_mixed_radicand_arithmetic_rejected",
+            f"{POLY}::test_nonconstants_need_matching_variable",
+        ),
+    ),
+    Mutant(
+        "power-multiplies-before-squaring",
+        "exactnum.py",
+        """        base = mul(base, base)
+        if n & 1:
+            result = mul(result, base)""",
+        """        if n & 1:
+            result = mul(result, base)
+        base = mul(base, base)""",
+        (f"{QUAD}::test_pow", f"{POLY}::test_power"),
+    ),
+    Mutant(
+        "squarefree-calls-1-a-square",
+        "exactnum.py",
+        "return m == 1 or root * root != m",
+        "return root * root != m",
+        ORACLE,
+    ),
+    Mutant(
+        "squarefree-misses-a-repeated-factor",
+        "exactnum.py",
+        """            if m % f == 0:
+                return False""",
+        """            if False:
+                return False""",
+        (f"{SQUAREFREE}::test_basic",),
+    ),
+    Mutant(
+        "squarefree-cap-off-by-one",
+        "exactnum.py",
+        "if m > _MAX_RADICAND:",
+        "if m >= _MAX_RADICAND:",
+        (f"{SQUAREFREE}::test_radicand_cap",),
+    ),
     # the CLI's help width
     Mutant(
         "help-width-without-minus-2",

@@ -369,6 +369,8 @@ class TestAgainstFractionReference:
     # an inverse with negative norm: phi has norm -1
     @example((PHI, PHI), 2, 3)
     @example((("quad", -3, 0, 1), ("quad", -3, Fraction(-1, 2), Fraction(3, 2))), 1, 2)
+    # the Gaussian rationals, d = -1: i * i = -1
+    @example((("quad", -1, 0, 1), ("quad", -1, Fraction(1, 2), -1)), 1, 2)
     # sums that cancel to zero
     @example((("quad", 5, Fraction(1, 2), Fraction(-1, 3)),
               ("quad", 5, Fraction(-1, 2), Fraction(1, 3))), 0, 0)

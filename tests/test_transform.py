@@ -209,6 +209,7 @@ class TestDifferentialKernel:
 
 
 UNIT_TERMS = _kernels._UNIT_MIN_TERMS
+CHUNK = _kernels._UNIT_CHUNK
 
 
 def unit_bits_limit(n_last):
@@ -220,13 +221,18 @@ def unit_bits_limit(n_last):
 @st.composite
 def unit_table_cases_st(draw):
     """A prefix over any domain whose length is on either side of the unit
-    table's minimum, and a shift: +-1, +-2, +-3, a Fraction, or an int (or
-    that int over 3) whose bit length is at the size limit for this
-    length or one past it.  A long prefix repeats a drawn one, plus the
-    index (drawing every term costs hypothesis seconds)."""
+    table's minimum or next to a boundary of its chunks of passes (one
+    short of, on or one past ``CHUNK * m``, m = 4..6), and a shift: +-1,
+    +-2, +-3, a Fraction, or an int (or that int over 3) whose bit length
+    is at the size limit for this length or one past it.  A long prefix
+    repeats a drawn one, plus the index (drawing every term costs
+    hypothesis seconds)."""
     prefix = draw(prefixes_st())
     if draw(st.booleans()):
-        size = draw(st.integers(UNIT_TERMS - 2, UNIT_TERMS + 3))
+        size = draw(
+            st.integers(UNIT_TERMS - 2, UNIT_TERMS + 3)
+            | st.builds(lambda m, e: CHUNK * m + e, st.integers(4, 6), st.integers(-1, 1))
+        )
         base = prefix.values
         prefix = SequencePrefix(
             [base[k % len(base)] + k for k in range(size)], prefix.domain
@@ -261,6 +267,16 @@ class TestUnitTable:
     @example((SequencePrefix([0] * (UNIT_TERMS + 3)), 2))
     # the b column cancels: sum_k C(n, k) (-1)^k = 0 for n >= 1
     @example((SequencePrefix([Quad(k, (-1) ** k, 5) for k in range(UNIT_TERMS)]), 1))
+    # chunk boundaries: one input short of four chunks at p = 1, one past
+    # five at p = -3, and four whole chunks at the N * bit_length(p)^2 edge
+    @example((SequencePrefix([k**3 % 97 - 40 for k in range(4 * CHUNK - 1)]), 1))
+    @example((SequencePrefix([k * k - 7 for k in range(5 * CHUNK + 1)]), -3))
+    @example(
+        (
+            SequencePrefix([k**3 % 97 - 40 for k in range(4 * CHUNK)]),
+            1 - 2 ** unit_bits_limit(4 * CHUNK - 1),
+        )
+    )
     def test_matches_oracle_and_multiply_add_table(self, case):
         prefix, r = case
         out = apply_transform(prefix, r)
@@ -302,6 +318,23 @@ class TestKernelSelection:
         out = apply_transform(values, r)
         assert multiply_add_calls[0] == 0
         assert out.values == comb_oracle(values, r)
+
+    @pytest.mark.parametrize("terms", [4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1])
+    def test_unit_table_lists_once_per_chunk(self, monkeypatch, terms):
+        """At p = 1 the unit table builds one list per ``CHUNK`` passes,
+        the first chunk taken from the back of the column; the passes
+        between stay lazy."""
+        sizes = []
+
+        def counted(items):
+            out = list(items)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(_kernels, "list", counted, raising=False)
+        column = [k**3 % 97 - 40 for k in range(terms)]
+        assert _kernels._table(column, 1) == list(comb_oracle(column, 1))
+        assert sizes == [*range(CHUNK, terms, CHUNK), terms]
 
     @pytest.mark.parametrize(
         "values, r",
