@@ -815,23 +815,11 @@ def _split(biased: list[int], slots: int, w: int, half: int) -> list[list[int]]:
 
 
 def zero(dom: Domain) -> Scalar:
-    if dom.kind == "int":
-        return 0
-    if dom.kind == "rat":
-        return Fraction(0)
-    if dom.kind == "poly":
-        return Poly((), dom.var)
-    return Quad(0, 0, dom.d)
+    return promote(0, dom)
 
 
 def one(dom: Domain) -> Scalar:
-    if dom.kind == "int":
-        return 1
-    if dom.kind == "rat":
-        return Fraction(1)
-    if dom.kind == "poly":
-        return Poly((1,), dom.var)
-    return Quad(1, 0, dom.d)
+    return promote(1, dom)
 
 
 def scalar_inv(x: Scalar) -> Scalar:
@@ -904,10 +892,8 @@ def _joined(terms: list[tuple[bool, str]], space: str = " ") -> str:
 
 def render_scalar(x: Scalar) -> str:
     """Canonical text form, parseable back by :func:`parse_scalar`."""
-    dom = domain_of(x)
-    if dom.kind in ("int", "rat"):
-        return str(x)
-    return x.text()
+    domain_of(x)  # rejects a float, a bool or a non-scalar
+    return str(x)
 
 
 _RAT_RE = r"\d+(?:/\d+)?"

@@ -28,9 +28,8 @@ is built once with ``exactnum._from_int_columns``, over D E^n and over
 the one denominator D E.  Only an irrational Quad or a non-constant
 Poly coefficient keeps the loops on the scalars.
 
-Results of arithmetic on values of one joined domain are built by the
-unchecked ``_of`` constructors, which skip the per-value join of
-``unify``; the public constructors keep it.
+:class:`CharPoly` keeps its coefficients in ``transform._OneDomain``,
+whose docstring states when results skip ``unify``.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .exactnum import (
     unify,
     zero,
 )
-from .transform import PrefixLike, SequencePrefix, apply_transform, as_prefix
+from .transform import PrefixLike, SequencePrefix, _OneDomain, apply_transform, as_prefix
 
 __all__ = [
     "CharPoly",
@@ -74,83 +73,55 @@ __all__ = [
 ]
 
 
-class CharPoly:
+class CharPoly(_OneDomain):
     """Characteristic polynomial, coefficients descending from X^d.
 
     Degree is at least 1 and the leading coefficient is nonzero.  The
     coefficients all live in one scalar domain (their join).
     """
 
-    __slots__ = ("_coeffs", "_domain")
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar], domain: Domain | None = None):
         vals = list(coeffs)
         if len(vals) < 2:
             raise ValueError("characteristic polynomial needs degree at least 1")
-        self._domain, self._coeffs = unify(vals, domain)
-        if self._coeffs[0] == zero(self._domain):
+        super().__init__(vals, domain)
+        if self._values[0] == zero(self._domain):
             raise ValueError("leading coefficient must be nonzero")
-
-    @classmethod
-    def _of(cls, coeffs: list | tuple, domain: Domain) -> "CharPoly":
-        """Unchecked constructor for computed results: at least two
-        coefficients, the leading one nonzero, all already in ``domain``.
-        Skips the per-value join of :func:`unify`; never pass a
-        generator, so the tuple is allocated at its exact size."""
-        self = object.__new__(cls)
-        self._domain, self._coeffs = domain, tuple(coeffs)
-        return self
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
         """Coefficients p_0, ..., p_d in descending powers of X."""
-        return self._coeffs
-
-    @property
-    def domain(self) -> Domain:
-        return self._domain
+        return self._values
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._values) - 1
 
     @property
     def leading(self) -> Scalar:
-        return self._coeffs[0]
+        return self._values[0]
 
     @property
     def is_monic(self) -> bool:
-        return self._coeffs[0] == one(self._domain)
+        return self._values[0] == one(self._domain)
 
     def coefficient_of_power(self, j: int) -> Scalar:
         """Coefficient of X^j (ascending accessor)."""
         if not 0 <= j <= self.degree:
             raise IndexError(f"degree {self.degree} polynomial has no X^{j}")
-        return self._coeffs[self.degree - j]
-
-    def promoted(self, dom: Domain) -> "CharPoly":
-        target = join_domains(self._domain, dom)
-        if target == self._domain:
-            return self
-        return CharPoly(self._coeffs, target)
+        return self._values[self.degree - j]
 
     def text(self, var: str = "X") -> str:
         """Rendering like ``X^2 - 3*X + 1``; composite coefficients are
         parenthesized, e.g. ``X^2 - (2r+3)*X + (r^2+3r+2)``."""
         terms = []
-        for power, c in zip(range(self.degree, -1, -1), self._coeffs):
+        for power, c in zip(range(self.degree, -1, -1), self._values):
             if c != 0:
                 negative, body = _signed_text(c)
                 terms.append((negative, _term(body, var, power)))
         return _joined(terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CharPoly):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
 
     def __repr__(self) -> str:
         return f"CharPoly({self.text()!r}, domain={self._domain})"

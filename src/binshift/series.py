@@ -31,9 +31,8 @@ shift the loops see is 1 (r = 1/q lowers to it), the OGF's and the
 Riordan entry's divisions by 1 - z are prefix sums; every other shift
 runs the per-term recurrence.
 
-Results computed in an already-joined domain are built by the unchecked
-``TruncSeries._of`` and ``SequencePrefix._of``; the public constructors
-keep the per-value join of ``unify``.
+:class:`TruncSeries` keeps its coefficients in ``transform._OneDomain``,
+whose docstring states when results skip ``unify``.
 """
 
 from __future__ import annotations
@@ -54,10 +53,9 @@ from .exactnum import (
     one,
     promote,
     render_scalar,
-    unify,
     zero,
 )
-from .transform import PrefixLike, SequencePrefix, as_prefix
+from .transform import PrefixLike, SequencePrefix, _OneDomain, as_prefix
 
 __all__ = [
     "OGF",
@@ -80,7 +78,7 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be {OGF!r} or {EGF!r}, got {kind!r}")
 
 
-class TruncSeries:
+class TruncSeries(_OneDomain):
     """Coefficients c_0..c_N of a truncated generating series.
 
     ``kind`` is :data:`OGF` or :data:`EGF`.  The order N is one less than
@@ -88,7 +86,7 @@ class TruncSeries:
     domain (the join of their individual domains).
     """
 
-    __slots__ = ("_kind", "_coeffs", "_domain")
+    __slots__ = ("_kind",)
 
     def __init__(
         self,
@@ -98,18 +96,16 @@ class TruncSeries:
     ):
         _check_kind(kind)
         self._kind = kind
-        self._domain, self._coeffs = unify(coeffs, domain)
-        if not self._coeffs:
+        super().__init__(coeffs, domain)
+        if not self._values:
             raise ValueError("a series needs at least the order-0 coefficient")
 
     @classmethod
     def _of(cls, kind: str, coeffs: list | tuple, domain: Domain) -> "TruncSeries":
-        """Unchecked constructor for computed results: a valid ``kind`` and
-        a non-empty list (or tuple) of coefficients all already in
-        ``domain``.  Skips the per-value join of :func:`unify`; never pass
-        a generator, so the tuple is allocated at its exact size."""
-        self = object.__new__(cls)
-        self._kind, self._coeffs, self._domain = kind, tuple(coeffs), domain
+        """The unchecked constructor of :class:`_OneDomain`, for a valid
+        ``kind``."""
+        self = super()._of(coeffs, domain)
+        self._kind = kind
         return self
 
     @property
@@ -118,27 +114,23 @@ class TruncSeries:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._values) - 1
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
-        return self._coeffs
-
-    @property
-    def domain(self) -> Domain:
-        return self._domain
+        return self._values
 
     def promoted(self, dom: Domain) -> "TruncSeries":
         target = join_domains(self._domain, dom)
         if target == self._domain:
             return self
-        return TruncSeries(self._kind, self._coeffs, target)
+        return TruncSeries(self._kind, self._values, target)
 
     def coefficient(self, n: int) -> Scalar:
         """Stored coefficient c_n (for EGF this is a_n, not a_n/n!)."""
         if not 0 <= n <= self.order:
             raise IndexError(f"order {self.order} series has no coefficient {n}")
-        return self._coeffs[n]
+        return self._values[n]
 
     def analytic_coefficient(self, n: int) -> Scalar:
         """The true series coefficient: c_n for OGF, a_n/n! for EGF."""
@@ -146,9 +138,7 @@ class TruncSeries:
         if self._kind == OGF:
             return c
         inv_fact = Fraction(1, math.factorial(n))
-        if self._domain.kind == "int":
-            return Fraction(c) * inv_fact
-        if self._domain.kind == "rat":
+        if self._domain.kind in ("int", "rat"):
             return c * inv_fact
         return c * promote(inv_fact, self._domain)
 
@@ -157,8 +147,8 @@ class TruncSeries:
         sym = "z" if self._kind == OGF else "t"
         parts: list[str] = []
         zero_s = zero(self._domain)
-        for n, c in enumerate(self._coeffs):
-            if c == zero_s and len(self._coeffs) > 1:
+        for n, c in enumerate(self._values):
+            if c == zero_s and len(self._values) > 1:
                 continue
             body = render_scalar(c)
             if " " in body or (body.startswith("-") and n > 0):
@@ -177,11 +167,11 @@ class TruncSeries:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncSeries):
-            return self._kind == other._kind and self._coeffs == other._coeffs
+            return self._kind == other._kind and self._values == other._values
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._kind, self._coeffs))
+        return hash((self._kind, self._values))
 
     def __repr__(self) -> str:
         return f"TruncSeries({self._kind!r}, {self.text()!r})"

@@ -25,9 +25,9 @@ int domain and at an irrational Quad shift the table runs on the scalars
 themselves.  Shift 0 is the identity and returns the promoted prefix
 without running a table.
 
-Results are built by the unchecked ``SequencePrefix._of``: their values
-were computed in the already-joined domain, so the per-value join of
-``unify`` that the public constructor runs is skipped.
+Results are built by the unchecked ``_of``: the docstring of
+:class:`_OneDomain`, the core of the one-domain containers, states when
+a result skips ``unify``.
 """
 
 from __future__ import annotations
@@ -56,27 +56,31 @@ __all__ = [
 ]
 
 
-class SequencePrefix:
-    """Finite prefix (a_0, ..., a_N) of a sequence over one scalar domain.
+class _OneDomain:
+    """Values of one scalar domain, stored as a tuple: the core of
+    :class:`SequencePrefix`, ``recurrence.CharPoly`` and
+    ``series.TruncSeries``.
 
-    The domain is the join of the domains of the given values (further
-    widened by the optional ``domain`` argument) and every stored value is
-    promoted into it.  Prefixes are immutable and compare by value, so a
-    prefix of ``Fraction`` values equals the integer prefix it came from.
+    The public constructor joins the domains of the given values (further
+    widened by the optional ``domain`` argument) with :func:`unify` and
+    promotes every value into the join.  Results of arithmetic on values
+    of one joined domain are built by the unchecked :meth:`_of`, which
+    skips that per-value join.  Containers are immutable and compare by
+    value with their own class only, so a prefix of ``Fraction`` values
+    equals the integer prefix it came from, but not a ``CharPoly`` with
+    the same values.
     """
 
     __slots__ = ("_domain", "_values")
 
     def __init__(self, values: Iterable[Scalar], domain: Domain | None = None):
         self._domain, self._values = unify(values, domain)
-        if not self._values:
-            raise ValueError("a prefix needs at least the index-0 term")
 
     @classmethod
-    def _of(cls, values: list | tuple, domain: Domain) -> "SequencePrefix":
-        """Unchecked constructor for computed results: a non-empty list (or
-        tuple) of values that are all already in ``domain``.  Skips the
-        per-value join of :func:`unify`; never pass a generator, so the
+    def _of(cls, values: list | tuple, domain: Domain) -> "_OneDomain":
+        """Unchecked constructor for computed results: a list (or tuple)
+        of values that are all already in ``domain`` and that pass the
+        checks of the public constructor.  Never pass a generator, so the
         tuple is allocated at its exact size."""
         self = object.__new__(cls)
         self._domain, self._values = domain, tuple(values)
@@ -85,6 +89,32 @@ class SequencePrefix:
     @property
     def domain(self) -> Domain:
         return self._domain
+
+    def promoted(self, dom: Domain) -> "_OneDomain":
+        target = join_domains(self._domain, dom)
+        if target == self._domain:
+            return self
+        return type(self)(self._values, target)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+
+class SequencePrefix(_OneDomain):
+    """Finite prefix (a_0, ..., a_N) of a sequence over one scalar domain,
+    the join of the domains of its values (see :class:`_OneDomain`)."""
+
+    __slots__ = ()
+
+    def __init__(self, values: Iterable[Scalar], domain: Domain | None = None):
+        super().__init__(values, domain)
+        if not self._values:
+            raise ValueError("a prefix needs at least the index-0 term")
 
     @property
     def values(self) -> tuple[Scalar, ...]:
@@ -108,20 +138,6 @@ class SequencePrefix:
                 f"prefix has {len(self._values)} terms, need {n_max + 1}"
             )
         return SequencePrefix._of(self._values[: n_max + 1], self._domain)
-
-    def promoted(self, dom: Domain) -> "SequencePrefix":
-        target = join_domains(self._domain, dom)
-        if target == self._domain:
-            return self
-        return SequencePrefix(self._values, target)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SequencePrefix):
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values)
 
     def __repr__(self) -> str:
         shown = ", ".join(str(v) for v in self._values[:8])

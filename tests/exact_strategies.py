@@ -1,7 +1,9 @@
-"""Hypothesis strategies and a comparison helper shared by the
-differential tests: sequences over every scalar domain, shifts that join
-with them, and a check that two results agree scalar for scalar."""
+"""Hypothesis strategies and helpers shared by the differential tests:
+sequences over every scalar domain, shifts that join with them, the
+double-sum oracle of the transform, and a check that two results agree
+scalar for scalar."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -75,6 +77,15 @@ def char_coefficients_st(draw):
         values = st.lists(fractions_st, max_size=4).map(lambda cs: Poly(cs, kind))
     leading = draw(values.filter(lambda v: v != 0))
     return [leading, *draw(st.lists(values, min_size=1, max_size=5))]
+
+
+def double_sum(values, r):
+    """Direct double-sum evaluation of the shift-r transform, independent
+    of the implementation: the tuple of b_n = sum_k C(n, k) r^(n-k) a_k."""
+    return tuple(
+        sum(math.comb(n, k) * r ** (n - k) * values[k] for k in range(n + 1))
+        for n in range(len(values))
+    )
 
 
 def components(v):

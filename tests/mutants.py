@@ -415,6 +415,51 @@ MUTANTS = (
         "if m >= _MAX_RADICAND:",
         (f"{SQUAREFREE}::test_radicand_cap",),
     ),
+    # the core of the one-domain containers
+    Mutant(
+        "containers-equal-across-classes",
+        "transform.py",
+        "if isinstance(other, type(self)):",
+        "if isinstance(other, _OneDomain):",
+        ("tests/test_transform.py::TestSequencePrefix::test_value_equality_across_domains",),
+    ),
+    Mutant(
+        "series-equality-ignores-kind",
+        "series.py",
+        "return self._kind == other._kind and self._values == other._values",
+        "return self._values == other._values",
+        ("tests/test_series.py::TestTruncSeries::test_prefix_round_trip",),
+    ),
+    Mutant(
+        "unchecked-constructor-stores-the-list",
+        "transform.py",
+        "self._domain, self._values = domain, tuple(values)",
+        "self._domain, self._values = domain, values",
+        ("tests/test_transform.py::TestApplyTransform::test_fibonacci_shift1",),
+    ),
+    Mutant(
+        "promoted-skips-the-promotion",
+        "transform.py",
+        "return type(self)(self._values, target)",
+        "return self",
+        (
+            "tests/test_transform.py::test_prefix_promotion_round_trip",
+            "tests/test_recurrence.py::TestRecurrenceLoopsDifferential::test_apply_char_operator",
+        ),
+    ),
+    Mutant(
+        "charpoly-unify-before-length-check",
+        "recurrence.py",
+        """        vals = list(coeffs)
+        if len(vals) < 2:
+            raise ValueError("characteristic polynomial needs degree at least 1")
+        super().__init__(vals, domain)""",
+        """        vals = list(coeffs)
+        super().__init__(vals, domain)
+        if len(vals) < 2:
+            raise ValueError("characteristic polynomial needs degree at least 1")""",
+        ("tests/test_recurrence.py::TestCharPoly::test_validation",),
+    ),
     # the CLI's help width
     Mutant(
         "help-width-without-minus-2",

@@ -98,6 +98,8 @@ class TestCharPoly:
             CharPoly((1,))
         with pytest.raises(ValueError):
             CharPoly((0, 1, 2))
+        with pytest.raises(ValueError, match="degree at least 1"):
+            CharPoly([1.5])  # the length is checked before the values
         with pytest.raises(IndexError):
             FIB_POLY.coefficient_of_power(3)
 

@@ -3,6 +3,9 @@
 * Layering: ``binshift._kernels`` imports only the standard library,
   ``transform`` imports neither ``recurrence`` nor ``series``, and each
   ring loop is defined once, in ``_kernels``.
+* The one-domain containers share the storage, unchecked constructor,
+  promotion and equality of ``transform._OneDomain``; only
+  ``TruncSeries``, whose kind takes part, redefines them.
 * The mutant table of ``tests/mutants.py`` is in sync with the source:
   every snippet occurs exactly once and every node id names a test.
 * Every annotation in the package resolves with ``typing.get_type_hints``.
@@ -33,6 +36,7 @@ LOOPS = (
     "_binomial_rows",
     "_geometric_column",
 )
+CORE = {"_of", "domain", "promoted", "__eq__", "__hash__"}
 
 
 def _tree(path):
@@ -73,6 +77,34 @@ class TestLayering:
                 if isinstance(node, ast.FunctionDef) and node.name in defs:
                     defs[node.name].append(path.name)
         assert defs == {name: ["_kernels.py"] for name in LOOPS}
+
+
+def _methods(cls_node):
+    return {node.name for node in cls_node.body if isinstance(node, ast.FunctionDef)}
+
+
+class TestOneDomainCore:
+    def test_core_defines_the_shared_methods(self):
+        (core,) = [
+            node
+            for node in ast.walk(_tree(SRC / "transform.py"))
+            if isinstance(node, ast.ClassDef) and node.name == "_OneDomain"
+        ]
+        assert CORE <= _methods(core)
+
+    def test_only_truncseries_redefines_them(self):
+        redefined = {
+            node.name: _methods(node) & CORE
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(b, ast.Name) and b.id == "_OneDomain" for b in node.bases)
+        }
+        assert redefined == {
+            "SequencePrefix": set(),
+            "CharPoly": set(),
+            "TruncSeries": {"_of", "promoted", "__eq__", "__hash__"},
+        }
 
 
 class TestMutantTable:

@@ -23,6 +23,8 @@ from binshift.exactnum import (
     render_scalar,
 )
 from binshift.families import family_names, family_prefix
+from binshift.recurrence import CharPoly
+from binshift.series import OGF, TruncSeries
 from binshift.transform import (
     SequencePrefix,
     apply_transform,
@@ -32,18 +34,16 @@ from binshift.transform import (
     iterated_binomial,
 )
 
-from exact_strategies import assert_same_scalars, fractions_st, prefixes_st, shifts_st
+from exact_strategies import (
+    assert_same_scalars,
+    double_sum,
+    fractions_st,
+    prefixes_st,
+    shifts_st,
+)
 
 FIB = (0, 1, 1, 2, 3, 5, 8, 13, 21, 34)
 LUCAS = (2, 1, 3, 4, 7, 11, 18, 29, 47, 76)
-
-
-def comb_oracle(values, r):
-    """Direct double-sum evaluation, independent of the implementation."""
-    return tuple(
-        sum(math.comb(n, k) * r ** (n - k) * values[k] for k in range(n + 1))
-        for n in range(len(values))
-    )
 
 
 prefix_values_st = st.lists(fractions_st, min_size=1, max_size=9)
@@ -64,6 +64,9 @@ class TestSequencePrefix:
             [Fraction(0), Fraction(1), Fraction(2)]
         )
         assert SequencePrefix([1]) != SequencePrefix([1, 1])
+        p = SequencePrefix([1, -3, 1])
+        for other in (CharPoly([1, -3, 1]), TruncSeries(OGF, [1, -3, 1])):
+            assert p != other and other != p
 
     def test_truncated(self):
         p = SequencePrefix(FIB)
@@ -126,7 +129,7 @@ class TestApplyTransform:
     def test_quad_shift_against_oracle(self):
         phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
         vals = (1, 2, 3, 4)
-        assert apply_transform(vals, phi).values == comb_oracle(vals, phi)
+        assert apply_transform(vals, phi).values == double_sum(vals, phi)
 
     def test_incompatible_shift_rejected(self):
         w = [Poly((0, 1), "x"), Poly((1,), "x")]
@@ -136,7 +139,7 @@ class TestApplyTransform:
     @settings(max_examples=150)
     @given(prefix_values_st, fractions_st)
     def test_matches_double_sum_oracle(self, values, r):
-        assert apply_transform(values, r).values == comb_oracle(values, r)
+        assert apply_transform(values, r).values == double_sum(values, r)
 
     @settings(max_examples=100)
     @given(prefix_values_st, fractions_st, st.data())
@@ -202,7 +205,7 @@ class TestDifferentialKernel:
         rp = promote(r, target)
         vals = prefix.promoted(target).values[: n_max + 1]
         assert out.domain == target
-        assert out.values == comb_oracle(vals, rp)
+        assert out.values == double_sum(vals, rp)
         generic = _difference_table(vals, rp)
         assert len(out) == n_max + 1
         assert_same_scalars(out.values, generic)
@@ -284,7 +287,7 @@ class TestUnitTable:
         rp = promote(r, target)
         vals = prefix.promoted(target).values
         assert out.domain == target
-        assert out.values == comb_oracle(vals, rp)
+        assert out.values == double_sum(vals, rp)
         assert_same_scalars(out.values, _difference_table(vals, rp))
 
 
@@ -317,7 +320,7 @@ class TestKernelSelection:
     def test_unit_table_runs(self, multiply_add_calls, values, r):
         out = apply_transform(values, r)
         assert multiply_add_calls[0] == 0
-        assert out.values == comb_oracle(values, r)
+        assert out.values == double_sum(values, r)
 
     @pytest.mark.parametrize("terms", [4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1])
     def test_unit_table_lists_once_per_chunk(self, monkeypatch, terms):
@@ -333,7 +336,7 @@ class TestKernelSelection:
 
         monkeypatch.setattr(_kernels, "list", counted, raising=False)
         column = [k**3 % 97 - 40 for k in range(terms)]
-        assert _kernels._table(column, 1) == list(comb_oracle(column, 1))
+        assert _kernels._table(column, 1) == list(double_sum(column, 1))
         assert sizes == [*range(CHUNK, terms, CHUNK), terms]
 
     @pytest.mark.parametrize(
@@ -348,7 +351,7 @@ class TestKernelSelection:
     def test_multiply_add_table_runs(self, multiply_add_calls, values, r):
         out = apply_transform(values, r)
         assert multiply_add_calls[0] >= 1
-        assert out.values == comb_oracle(values, r)
+        assert out.values == double_sum(values, r)
 
 
 RECURRENCE_COEFFS = (0, 1, -1, 2, -2, 2**40 + 1, -(3**25))
@@ -397,10 +400,10 @@ class TestRecurrenceRoute:
         if broken is not None or not any(column[:2]):
             assert route is None
         else:
-            assert tuple(route) == comb_oracle(column, p)
+            assert tuple(route) == double_sum(column, p)
         out = transform._table(column, p)
         assert out == _difference_table(column, p)
-        assert tuple(out) == comb_oracle(column, p)
+        assert tuple(out) == double_sum(column, p)
 
     @pytest.fixture
     def route_calls(self, monkeypatch):
@@ -419,7 +422,7 @@ class TestRecurrenceRoute:
     @pytest.mark.parametrize("name", family_names())
     def test_every_family_takes_it(self, route_calls, name):
         values = family_prefix(name, UNIT_TERMS + 14)
-        assert apply_transform(values, 2).values == comb_oracle(values.values, 2)
+        assert apply_transform(values, 2).values == double_sum(values.values, 2)
         assert route_calls == [True]
 
     @pytest.mark.parametrize(
@@ -436,7 +439,7 @@ class TestRecurrenceRoute:
         prefix = as_prefix(values)
         target = join_domains(prefix.domain, domain_of(r))
         out = apply_transform(prefix, r)
-        assert out.values == comb_oracle(prefix.promoted(target).values, promote(r, target))
+        assert out.values == double_sum(prefix.promoted(target).values, promote(r, target))
         assert route_calls == [True]
 
     @pytest.mark.parametrize(
@@ -448,7 +451,7 @@ class TestRecurrenceRoute:
         ids=["order-3", "random-64-bit"],
     )
     def test_other_columns_do_not(self, route_calls, values):
-        assert apply_transform(values, 3).values == comb_oracle(values, 3)
+        assert apply_transform(values, 3).values == double_sum(values, 3)
         assert route_calls == [False]
 
 
@@ -463,7 +466,7 @@ class TestOneKernelRun:
     @staticmethod
     def int_calls(monkeypatch, values, r):
         """Per ``_table`` call, whether its entries and p are all ints;
-        the transform's values are checked against ``comb_oracle``."""
+        the transform's values are checked against ``double_sum``."""
         calls = []
         original = transform._table
 
@@ -475,7 +478,7 @@ class TestOneKernelRun:
         out = apply_transform(values, r)
         prefix = as_prefix(values)
         target = join_domains(prefix.domain, domain_of(r))
-        assert out.values == comb_oracle(prefix.promoted(target).values, promote(r, target))
+        assert out.values == double_sum(prefix.promoted(target).values, promote(r, target))
         return calls
 
     @pytest.mark.parametrize(
@@ -590,7 +593,7 @@ class TestComposeAndInverse:
         values = (Fraction(3), Fraction(-1, 2), Fraction(2, 3), Fraction(5),
                   Fraction(0), Fraction(7, 4), Fraction(-2), Fraction(1, 6))
         r, s = Fraction(1, 2), Fraction(1, 3)
-        nested = comb_oracle(comb_oracle(values, s), r)
+        nested = double_sum(double_sum(values, s), r)
         assert compose_transforms(values, r, s).values == nested
 
     def test_opposite_shifts_cancel(self):
