@@ -9,11 +9,10 @@ returns a list as long as ``t`` whose entry n is sum_k c_nk r^(n-k) t_k,
 where the c_nk are ints that depend on neither t nor r and
 sum_k |c_nk| x^(n-k) <= (x + 1)^N for every x >= 0 and every n (N + 1
 the length of t), and it computes that sum exactly for int t and r.  The
-four kernels are the transform's :func:`_table` (c_nk = C(n, k), a sum of
-(x + 1)^n), the EGF's :func:`_binomial_rows` and the OGF's
-:func:`_horner_in_u` (the same c_nk), and :func:`_taylor_shift` (|c_nk| =
-C(N-k, n-k) <= C(N, n-k), a sum of at most (x + 1)^N; at N = 2, n = 1 it
-is 2x + 1, above (x + 1)^n).
+two kernels are the transform's :func:`_table` (c_nk = C(n, k), a sum of
+(x + 1)^n), which also serves the OGF and EGF views, and
+:func:`_taylor_shift` (|c_nk| = C(N-k, n-k) <= C(N, n-k), a sum of at
+most (x + 1)^N; at N = 2, n = 1 it is 2x + 1, above (x + 1)^n).
 
 The transform's :func:`_table` first tries the paper's root shift: if
 P(E) a = 0 then P(E - p) T_p a = 0, because E T_p = T_p (E + p), so a
@@ -232,32 +231,6 @@ def _over_geometric(xs: Sequence, r, order: int) -> list:
     for j in range(1, order + 1):
         w.append(xs[j] + r * w[-1])
     return w
-
-
-def _horner_in_u(c: list, r) -> list:
-    """Coefficients 0..N of (1 - r z)^(-1) * A(z / (1 - r z)) for the
-    coefficients c_0..c_N of A."""
-    n_ord = len(c) - 1
-    acc = [c[n_ord]]
-    for k in range(n_ord - 1, -1, -1):
-        acc = [c[k]] + _over_geometric(acc, r, n_ord - k - 1)
-    return _over_geometric(acc, r, n_ord)
-
-
-def _binomial_rows(a: Sequence, r) -> list:
-    """b_n = sum_k C(n, k) r^(n-k) a_k for n = 0..len(a)-1."""
-    powers = [r]  # powers[i] = r^(i+1)
-    for _ in range(len(a) - 2):
-        powers.append(powers[-1] * r)
-    out = []
-    for n in range(len(a)):
-        acc = a[n]  # the term k = n
-        c = 1  # C(n, k)
-        for k in range(n):
-            acc = acc + c * (powers[n - k - 1] * a[k])
-            c = c * (n - k) // (k + 1)
-        out.append(acc)
-    return out
 
 
 def _geometric_column(one_s, zero_s, r, order: int, times: int):

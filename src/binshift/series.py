@@ -13,23 +13,21 @@ The shift-r binomial transform acts as:
   stored form: binomial convolution with the powers of r)
 * Riordan view: the lower-triangular array with entries C(n, k) r^(n-k)
 
-all implemented by truncated series arithmetic of their own, so they can
-be checked against the direct sequence operator.  The OGF and Riordan
-views never multiply out powers of u = z/(1 - r z): dividing a truncated
-series by 1 - r z is the recurrence w_j = x_j + r * w_{j-1}, so the OGF
-substitution (Horner in u) costs O(N^2) operations and one Riordan entry
-(n, k) costs O(k * (n - k)).  The EGF view is a binomial-row convolution
-of its own.
+In stored form the OGF and EGF actions both give coefficient n =
+sum_k C(n, k) r^(n-k) c_k, the transform of the coefficients.  So both
+views run ``apply_transform``'s own table, ``_kernels._table``, with its
+routes (the root shift, the unit table, packing) and its shift-0 return;
+``verify`` checks them against the paper's double sum, which calls no
+kernel.
 
-Every shift but an irrational Quad runs the OGF and EGF loops of
-``_kernels`` on native ints, lowered by ``exactnum._on_ints``, which
-reads an int or rational series as it is and builds the results in the
-joined domain.  At a rational shift r = p/q the Riordan entry divides by
-1 - p z on ints and builds one scalar over q^(n-k); at an irrational
-Quad or a non-constant Poly shift it runs on the scalars.  Where the
-shift the loops see is 1 (r = 1/q lowers to it), the OGF's and the
-Riordan entry's divisions by 1 - z are prefix sums; every other shift
-runs the per-term recurrence.
+The Riordan view keeps arithmetic of its own: it never multiplies out
+powers of u = z/(1 - r z), since dividing a truncated series by 1 - r z
+is the recurrence w_j = x_j + r * w_{j-1}, so one entry (n, k) costs
+O(k * (n - k)).  At a rational shift r = p/q it divides by 1 - p z on
+ints and builds one scalar over q^(n-k); at an irrational Quad or a
+non-constant Poly shift it runs on the scalars.  Where the shift the
+loop sees is 1 (r = 1/q lowers to it), the divisions by 1 - z are
+prefix sums.
 
 :class:`TruncSeries` keeps its coefficients in ``transform._OneDomain``,
 whose docstring states when results skip ``unify``.
@@ -41,7 +39,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from ._kernels import _binomial_rows, _geometric_column, _horner_in_u
+from ._kernels import _geometric_column, _table
 from .errors import KindMismatch, OrderMismatch
 from .exactnum import (
     Domain,
@@ -231,25 +229,27 @@ def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return TruncSeries._of(f.kind, out, target)
 
 
+def _transformed(f: TruncSeries, r: Scalar) -> TruncSeries:
+    """The transform of the coefficients of ``f`` at shift ``r``, of the
+    kind of ``f``: ``apply_transform``'s table and routes, with its
+    shift-0 return before any table (``_table`` needs p != 0)."""
+    target = join_domains(f.domain, domain_of(r))
+    if r == 0:
+        return f.promoted(target)
+    return TruncSeries._of(f.kind, _on_ints(_table, f.coeffs, r, target), target)
+
+
 def series_compose_geometric(f: TruncSeries, r: Scalar) -> TruncSeries:
     """OGF action of the shift-r transform:
 
         A(z) -> (1 - r z)^(-1) * A(z / (1 - r z))
 
-    A(u) at u = z/(1 - r z) is evaluated by Horner in u from c_N down to
-    c_0, acc <- c_k + z * acc/(1 - r z), with each division by 1 - r z
-    the recurrence of ``_kernels._over_geometric`` (a prefix sum at
-    r = 1).  u^k has valuation k, so only orders 0..N-k of acc reach the
-    result; one last division applies (1 - r z)^(-1).  O(N^2) operations
-    in all; coefficient n of the result depends only on input
-    coefficients 0..n.  ``exactnum._on_ints`` runs the loop on native
-    ints at every shift but an irrational Quad, on ``f`` as it is.
+    Coefficient n of the result is sum_k C(n, k) r^(n-k) c_k, the
+    transform of the coefficients, so it runs the transform's table.
     """
     if f.kind != OGF:
         raise KindMismatch("geometric substitution acts on ogf series")
-    target = join_domains(f.domain, domain_of(r))
-    out = _on_ints(_horner_in_u, f.coeffs, r, target)
-    return TruncSeries._of(OGF, out, target)
+    return _transformed(f, r)
 
 
 def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
@@ -259,16 +259,11 @@ def egf_transform(f: TruncSeries, r: Scalar) -> TruncSeries:
 
         b_n = sum_{k=0}^{n} C(n, k) r^(n-k) a_k,
 
-    with row n of binomials built by C(n, k+1) = C(n, k) (n-k)/(k+1):
-    N(N+1)/2 terms for order N, no call to ``math.comb`` and none to
-    :func:`series_mul`.  ``exactnum._on_ints`` runs the rows on native
-    ints at every shift but an irrational Quad.
+    the transform of the coefficients, so it runs the transform's table.
     """
     if f.kind != EGF:
         raise KindMismatch("exponential multiplication acts on egf series")
-    target = join_domains(f.domain, domain_of(r))
-    out = _on_ints(_binomial_rows, f.coeffs, r, target)
-    return TruncSeries._of(EGF, out, target)
+    return _transformed(f, r)
 
 
 def riordan_entry(r: Scalar, n: int, k: int) -> Scalar:

@@ -14,7 +14,9 @@ cases:
   identities of the classical families.
 * ``models``: Binet, matrix and colored-count models, plus the
   OGF/EGF/Riordan generating-function views, all against the direct
-  sequence operator.
+  sequence operator.  The OGF and EGF views run the transform's own
+  table, so each of their cases also checks one drawn index against the
+  paper's double sum, which calls no kernel.
 
 Each property is a generator ``prop(rng, cases, depth)`` that yields one
 ``(inputs, holds)`` pair per case: a dict of the case's named inputs and
@@ -71,6 +73,7 @@ from .recurrence import (
 )
 from .series import (
     EGF,
+    OGF,
     egf_transform,
     riordan_entry,
     series_compose_geometric,
@@ -208,6 +211,14 @@ def _prop_shift_roundtrip(rng, cases, depth):
         yield {"r": r}, shift_characteristic(shift_characteristic(p, r), -r) == p
 
 
+def _double_sum(a: SequencePrefix, r, n: int):
+    """Output n of the shift-r transform of ``a`` by the paper's double
+    sum sum_k C(n, k) r^(n-k) a_k, on the promoted scalars: no kernel."""
+    target = join_domains(a.domain, domain_of(r))
+    a, r = a.promoted(target), promote(r, target)
+    return sum(math.comb(n, k) * r ** (n - k) * a[k] for k in range(n + 1))
+
+
 def _naive_substitution_shift(p: CharPoly, r) -> CharPoly:
     """Expand P(X - r) by Horner over explicit polynomial multiplication.
 
@@ -251,14 +262,13 @@ def _prop_intertwining_zero(rng, cases, depth):
 def _prop_transformed_recurrence_coherent(rng, cases, depth):
     # From 26 terms the transform kernel itself runs the root shift on
     # these prefixes, so index ``depth`` is also checked by the double sum.
-    row = [math.comb(depth, k) for k in range(depth + 1)]
     for name in INTEGER_FAMILIES:
         rec = family_recurrence(name)
         base = unroll(rec, depth)
         for r in range(-2, 3):
             rerolled = unroll(transform_recurrence(rec, r), depth)
-            direct = sum(c * r ** (depth - k) * base[k] for k, c in enumerate(row))
-            holds = apply_transform(base, r) == rerolled and rerolled[depth] == direct
+            holds = apply_transform(base, r) == rerolled
+            holds = holds and rerolled[depth] == _double_sum(base, r, depth)
             yield {"family": name, "r": r}, holds
 
 
@@ -359,26 +369,19 @@ def _prop_colored_matches_operator(rng, cases, depth):
 _GF_SHIFTS = (-2, -1, 0, 1, 2, Fraction(1, 2))
 
 
-def _prop_ogf_matches_operator(rng, cases, depth):
+def _prop_view_matches_operator(kind, rng, cases, depth):
+    view = series_compose_geometric if kind == OGF else egf_transform
     for name in family_names():
         base = family_prefix(name, 16)
-        f = series_from_prefix(base)
+        f = series_from_prefix(base, kind)
         for r in _GF_SHIFTS:
-            composed = series_compose_geometric(f, r)
-            direct = apply_transform(base, r)
-            holds = all(composed.coefficient(n) == direct[n] for n in range(17))
-            yield {"family": name, "r": r}, holds
-
-
-def _prop_egf_matches_operator(rng, cases, depth):
-    for name in family_names():
-        base = family_prefix(name, 16)
-        f = series_from_prefix(base, EGF)
-        for r in _GF_SHIFTS:
-            multiplied = egf_transform(f, r)
-            direct = apply_transform(base, r)
-            holds = all(multiplied.coefficient(n) == direct[n] for n in range(17))
-            yield {"family": name, "r": r}, holds
+            # the views run the transform's own table: index n is also
+            # checked by the double sum
+            n = rng.randrange(17)
+            out = view(f, r).coeffs
+            holds = out == apply_transform(base, r).values
+            holds = holds and out[n] == _double_sum(base, r, n)
+            yield {"family": name, "r": r, "n": n}, holds
 
 
 def _prop_riordan_closed_form(rng, cases, depth):
@@ -436,8 +439,8 @@ _SUITES = {
         ("matrix_shift_equivalence", _prop_matrix_shift_equivalence),
         ("matrix_shift_additive", _prop_matrix_shift_additive),
         ("colored_matches_operator", _prop_colored_matches_operator),
-        ("ogf_matches_operator", _prop_ogf_matches_operator),
-        ("egf_matches_operator", _prop_egf_matches_operator),
+        ("ogf_matches_operator", partial(_prop_view_matches_operator, OGF)),
+        ("egf_matches_operator", partial(_prop_view_matches_operator, EGF)),
         ("riordan_closed_form", _prop_riordan_closed_form),
         ("riordan_action", _prop_riordan_action),
     ),

@@ -11,10 +11,14 @@ change that moves the code must move its mutants too.
 
 copies ``src/`` to a temporary directory, checks that the named node ids
 pass on the unmutated copy, then applies one mutant at a time and runs
-its node ids with that copy on ``PYTHONPATH``.  It prints each mutant as
-killed or survived and exits 1 if any survives (2 if the unmutated copy
-fails or a snippet is missing).  With no names it runs the whole table.
-Standard library only.
+its node ids with that copy on ``PYTHONPATH``.  Only pytest's exit 1 (a
+test failed) counts as a kill.  Every other exit code counts as
+survived, and it is printed beside the mutant, for example ``SURVIVED
+(pytest exit 2)`` when the mutant breaks collection, so a survivor that
+never reached its tests shows as such.  The runner prints each mutant
+as killed or survived and exits 1 if any survives (2 if the unmutated
+copy fails or a snippet is missing).  With no names it runs the whole
+table.  Standard library only.
 """
 
 import os
@@ -196,28 +200,49 @@ MUTANTS = (
         "_kernels.py",
         "w.append(xs[j] + r * w[-1])",
         "w.append(xs[j] + w[-1])",
-        ("tests/test_series.py::TestComposeGeometric", "tests/test_series.py::TestRiordanEntry"),
+        ("tests/test_series.py::TestRiordanEntry",),
     ),
     Mutant(
         "over-geometric-prefix-sum-short",
         "_kernels.py",
         "list(accumulate(xs[: order + 1]))",
         "list(accumulate(xs[:order])) + [xs[order]]",
-        ("tests/test_series.py::TestComposeGeometric",),
+        ("tests/test_series.py::TestRiordanEntry",),
     ),
     Mutant(
-        "horner-last-division-dropped",
-        "_kernels.py",
-        "return _over_geometric(acc, r, n_ord)",
-        "return acc",
-        ("tests/test_series.py::TestComposeGeometric",),
+        "views-shift-zero-reaches-the-table",
+        "series.py",
+        "if r == 0:\n        return f.promoted(target)",
+        "if False:\n        return f.promoted(target)",
+        ("tests/test_transform.py::TestKernelSelection::test_shift_zero_runs_no_table",),
     ),
     Mutant(
-        "binomial-rows-next-binomial",
-        "_kernels.py",
-        "c = c * (n - k) // (k + 1)",
-        "c = c * (n - k) // (k + 2)",
-        ("tests/test_series.py::TestEgfTransform",),
+        "views-built-as-ogf",
+        "series.py",
+        "TruncSeries._of(f.kind, _on_ints(",
+        "TruncSeries._of(OGF, _on_ints(",
+        (
+            "tests/test_series.py::TestEgfDifferential",
+            "tests/test_series.py::TestEgfBuildsFewFractions",
+        ),
+    ),
+    # verify's independent checks
+    Mutant(
+        "view-properties-without-double-sum",
+        "verify.py",
+        "holds = holds and out[n] == _double_sum(base, r, n)",
+        "holds = holds",
+        ("tests/test_verify.py::test_views_checked_by_the_double_sum",),
+    ),
+    Mutant(
+        "double-sum-one-binomial-off",
+        "verify.py",
+        "math.comb(n, k) * r ** (n - k) * a[k]",
+        "math.comb(n, k + 1) * r ** (n - k) * a[k]",
+        (
+            "tests/test_verify.py::test_each_suite_passes",
+            "tests/test_view_guards.py::TestViewsDoNotCallTheKernel",
+        ),
     ),
     Mutant(
         "geometric-column-one-division-short",
@@ -295,6 +320,20 @@ MUTANTS = (
         ONE_RUN,
     ),
     Mutant("no-width-limit", "exactnum.py", "elif w > _PACK_MAX_W:", "elif False:", ONE_RUN),
+    Mutant(
+        "results-without-q^j-denominators",
+        "exactnum.py",
+        "repeat(q, len(columns[0]) - 1)",
+        "repeat(1, len(columns[0]) - 1)",
+        PACKED,
+    ),
+    Mutant(
+        "int-columns-truncate-short-rows",
+        "exactnum.py",
+        "zip_longest(*rows, fillvalue=0)",
+        "zip(*rows)",
+        INT_COLUMNS,
+    ),
     # the int-numerator core shared by Poly and Quad, and the radicand check
     Mutant(
         "quad-square-reduced-with-minus-d",
@@ -513,9 +552,11 @@ def main(names) -> int:
                 print(f"{m.name}: the snippet does not occur once", file=sys.stderr)
                 return 2
             path.write_text(original.replace(m.snippet, m.replacement))
-            killed = _pytest(src, m.node_ids, tmp) == 1
+            code = _pytest(src, m.node_ids, tmp)
             path.write_text(original)
-            print(f"{'killed' if killed else 'SURVIVED'}  {m.name}", flush=True)
+            killed = code == 1
+            verdict = "killed" if killed else f"SURVIVED (pytest exit {code})"
+            print(f"{verdict}  {m.name}", flush=True)
             if not killed:
                 survived.append(m.name)
     print(f"{len(chosen) - len(survived)} of {len(chosen)} killed")

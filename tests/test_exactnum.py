@@ -41,8 +41,6 @@ from binshift.series import (
     EGF,
     OGF,
     TruncSeries,
-    _binomial_rows,
-    _horner_in_u,
     egf_transform,
     series_compose_geometric,
 )
@@ -763,7 +761,7 @@ class TestRingLaws:
         assert math.gcd(q.numerator, q.denominator) == 1
 
 
-KERNELS = (_table, _taylor_shift, _binomial_rows, _horner_in_u)
+KERNELS = (_table, _taylor_shift)
 
 
 MIXED_ROWS = [
@@ -823,7 +821,7 @@ def bound_cases_st(draw):
 class TestPackedColumns:
     """``exactnum._on_ints`` packs the int columns of a quad or poly
     prefix into one column of w-bit slots and runs a kernel once, with p
-    or with S(2^w) for a Poly shift S/e; each of the four kernels must
+    or with S(2^w) for a Poly shift S/e; each of the two kernels must
     give, scalar for scalar, what it gives on the scalars themselves.  The
     entries sit at the slot bound, where N = 0 and N = 1 make it tight.
     Shorter prefixes at a rational shift run one column at a time."""

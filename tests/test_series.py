@@ -1,6 +1,5 @@
 """Truncated generating series and the transform's series actions."""
 
-import contextlib
 import math
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binshift import _kernels
 from binshift.errors import KindMismatch, OrderMismatch
 from binshift.exactnum import (
     INT,
@@ -28,7 +26,6 @@ from binshift.series import (
     OGF,
     TruncSeries,
     _cauchy,
-    _horner_in_u,
     egf_transform,
     prefix_from_series,
     riordan_entry,
@@ -383,8 +380,8 @@ class TestViewsGrowQuadratically:
 
 
 def egf_by_series_mul(f, r):
-    """exp(r t) * f by series_mul with the series of powers of r, the
-    route the binomial-row convolution replaced (test oracle)."""
+    """exp(r t) * f by series_mul with the series of powers of r: the
+    EGF product itself, on the scalars (test oracle)."""
     target = join_domains(f.domain, domain_of(r))
     rp = promote(r, target)
     powers = [one(target)]
@@ -406,9 +403,9 @@ X = Poly.indeterminate("x")
 
 
 class TestEgfDifferential:
-    """The binomial-row convolution, on int columns at a rational shift
-    and on the scalars otherwise, gives scalar for scalar what series_mul
-    with the powers of r and the double sum give."""
+    """The EGF view, on int columns at a rational shift and on the
+    scalars otherwise, gives scalar for scalar what series_mul with the
+    powers of r and the double sum give."""
 
     @settings(max_examples=250, deadline=None)
     @given(egf_and_shift_st())
@@ -436,7 +433,7 @@ class TestEgfDifferential:
 
 
 class TestEgfBuildsFewFractions:
-    """At a rational shift the convolution runs on int columns: an order-N
+    """At a rational shift the EGF view runs on int columns: an order-N
     rational EGF costs at most N + 3 Fractions, the N + 1 results among
     them."""
 
@@ -571,65 +568,3 @@ class TestRationalShiftViewsDifferential:
         assert_same_scalars([got], [want])
         assert domain_of(got) == domain_of(r)
         assert got == (math.comb(n, k) * r ** (n - k) if k <= n else 0)
-
-
-@contextlib.contextmanager
-def prefix_sum_runs():
-    """Counts the prefix sums (``accumulate`` calls) of the series views."""
-    calls = [0]
-    original = _kernels.accumulate
-
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "accumulate", counted)
-        yield calls
-
-
-HORNER_SHIFTS = (0, 1, -1, 2, -2, 3, -3, 7, 2**20)
-
-
-@st.composite
-def horner_case_st(draw):
-    """N + 1 ints, N in 0..60, of up to 80 bits and either sign, and an
-    int shift from HORNER_SHIFTS."""
-    n = draw(st.integers(0, 60))
-    bits = draw(st.integers(1, 80))
-    entries = st.integers(-(2**bits), 2**bits)
-    return draw(st.lists(entries, min_size=n + 1, max_size=n + 1)), draw(
-        st.sampled_from(HORNER_SHIFTS)
-    )
-
-
-class TestHornerPrefixSums:
-    """At the int shift 1 the OGF's divisions by 1 - z run as prefix sums;
-    at every int shift it must give what the per-term recurrence and the
-    double sum give, and the prefix sums run exactly at 1."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(horner_case_st())
-    # N = 0, N = 1, and N = 25 and 26, around the 26-term cut of the
-    # transform's table (the OGF has no such cut)
-    @example(([5], 1))
-    @example(([-(2**70)], 0))
-    @example(([3, -4], 1))
-    @example(([3, -4], -1))
-    @example((list(range(-12, 14)), 1))
-    @example((list(range(-12, 14)), 3))
-    @example((list(range(-12, 15)), 1))
-    @example((list(range(-12, 15)), -2))
-    @example(([2**79 - k for k in range(61)], 1))
-    @example(([2**79 - k for k in range(61)], 2**20))
-    def test_matches_per_term_loop_and_double_sum(self, case):
-        c, p = case
-        with prefix_sum_runs() as calls:
-            got = _horner_in_u(list(c), p)
-        acc = [c[-1]]
-        for k in range(len(c) - 2, -1, -1):
-            acc = [c[k]] + over_geometric_on_scalars(acc, p, len(c) - k - 2)
-        assert got == over_geometric_on_scalars(acc, p, len(c) - 1)
-        assert got == list(double_sum(c, p))
-        assert all(type(v) is int for v in got)
-        assert calls[0] == (len(c) if p == 1 else 0)

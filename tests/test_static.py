@@ -32,8 +32,6 @@ LOOPS = (
     "_operator_sums",
     "_taylor_shift",
     "_over_geometric",
-    "_horner_in_u",
-    "_binomial_rows",
     "_geometric_column",
 )
 CORE = {"_of", "domain", "promoted", "__eq__", "__hash__"}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binshift import _kernels, exactnum, transform
+from binshift import _kernels, exactnum, series, transform
 from binshift._kernels import _difference_table
 from binshift.errors import DomainMismatch, PrefixTooShort
 from binshift.exactnum import (
@@ -24,7 +24,14 @@ from binshift.exactnum import (
 )
 from binshift.families import family_names, family_prefix
 from binshift.recurrence import CharPoly
-from binshift.series import OGF, TruncSeries
+from binshift.series import (
+    EGF,
+    OGF,
+    TruncSeries,
+    egf_transform,
+    series_compose_geometric,
+    series_from_prefix,
+)
 from binshift.transform import (
     SequencePrefix,
     apply_transform,
@@ -291,11 +298,32 @@ class TestUnitTable:
         assert_same_scalars(out.values, _difference_table(vals, rp))
 
 
+# The transform and its OGF and EGF views, which run the same table:
+# each gives the outputs of ``values`` at shift r as a tuple.
+VIEWS = (
+    lambda values, r: apply_transform(values, r).values,
+    lambda values, r: series_compose_geometric(series_from_prefix(values), r).coeffs,
+    lambda values, r: egf_transform(series_from_prefix(values, EGF), r).coeffs,
+)
+
+SHIFT_ZERO_VALUES = pytest.mark.parametrize(
+    "values",
+    [
+        (3, -1, 0, 7),
+        (Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 4)),
+        (Quad(1, 2, 5), Quad(0, Fraction(-1, 2), 5), Quad(0, 0, 5), Quad(4, 0, 5)),
+        (X, 1 - X, Poly((), "x"), Poly((0, 0, Fraction(3, 2)), "x")),
+    ],
+    ids=["int", "rat", "quad5", "polyx"],
+)
+
+
 class TestKernelSelection:
     """Which table runs, seen through a counting wrapper on
     ``_difference_table``: the unit table takes int shifts of long
     columns, the multiply-add table short columns, large |p| and
-    irrational shifts."""
+    irrational shifts.  The transform and both views take the same
+    route, and shift 0 takes none."""
 
     @pytest.fixture
     def multiply_add_calls(self, monkeypatch):
@@ -309,6 +337,17 @@ class TestKernelSelection:
         monkeypatch.setattr(_kernels, "_difference_table", counted)
         return calls
 
+    @staticmethod
+    def runs_per_view(calls, values, r):
+        """The counter's increase in each of the ``VIEWS``, whose outputs
+        are checked against ``double_sum``."""
+        runs = []
+        for view in VIEWS:
+            before = calls[0]
+            assert view(values, r) == double_sum(values, r)
+            runs.append(calls[0] - before)
+        return runs
+
     @pytest.mark.parametrize(
         "values, r",
         [
@@ -318,9 +357,7 @@ class TestKernelSelection:
         ids=["int-N100-r3", "rat-N100-r1/3"],
     )
     def test_unit_table_runs(self, multiply_add_calls, values, r):
-        out = apply_transform(values, r)
-        assert multiply_add_calls[0] == 0
-        assert out.values == double_sum(values, r)
+        assert self.runs_per_view(multiply_add_calls, values, r) == [0, 0, 0]
 
     @pytest.mark.parametrize("terms", [4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1])
     def test_unit_table_lists_once_per_chunk(self, monkeypatch, terms):
@@ -345,13 +382,29 @@ class TestKernelSelection:
             (list(range(UNIT_TERMS - 1)), 3),
             ([k * k - 50 * k for k in range(101)], 10**30),
             ([Quad(k, 1, 5) for k in range(101)], Quad(1, 1, 5)),
+            ([k * k - 50 * k for k in range(101)], 2**20 + 1),
         ],
-        ids=["short-column", "large-p", "irrational-quad"],
+        ids=["short-column", "large-p", "irrational-quad", "p-2^20+1"],
     )
     def test_multiply_add_table_runs(self, multiply_add_calls, values, r):
-        out = apply_transform(values, r)
-        assert multiply_add_calls[0] >= 1
-        assert out.values == double_sum(values, r)
+        runs = self.runs_per_view(multiply_add_calls, values, r)
+        assert runs[0] >= 1
+        assert runs == runs[:1] * 3
+
+    @SHIFT_ZERO_VALUES
+    def test_shift_zero_runs_no_table(self, monkeypatch, values):
+        """Shift 0 returns the input before any table: ``_table`` needs
+        p != 0."""
+
+        def raiser(column, p):
+            raise AssertionError("a table ran at shift 0")
+
+        monkeypatch.setattr(transform, "_table", raiser)
+        monkeypatch.setattr(series, "_table", raiser)
+        for view in VIEWS:
+            out = view(values, 0)
+            assert out == double_sum(values, 0)
+            assert_same_scalars(out, values)
 
 
 RECURRENCE_COEFFS = (0, 1, -1, 2, -2, 2**40 + 1, -(3**25))
@@ -422,8 +475,9 @@ class TestRecurrenceRoute:
     @pytest.mark.parametrize("name", family_names())
     def test_every_family_takes_it(self, route_calls, name):
         values = family_prefix(name, UNIT_TERMS + 14)
-        assert apply_transform(values, 2).values == double_sum(values.values, 2)
-        assert route_calls == [True]
+        for view in VIEWS:
+            assert view(values, 2) == double_sum(values.values, 2)
+        assert route_calls == [True] * len(VIEWS)
 
     @pytest.mark.parametrize(
         "values, r",
@@ -432,15 +486,23 @@ class TestRecurrenceRoute:
             ([Quad(f, 0, 5) for f in family_prefix("fibonacci", 60)], 1),
             (family_prefix("wpoly", 40), 2),
             (list(range(101)), 10**30),
+            (family_prefix("fibonacci", 39), 3),
         ],
-        ids=["fibonacci/7-r1/3", "quad5-fibonacci-r1", "wpoly-N40-r2", "large-p"],
+        ids=[
+            "fibonacci/7-r1/3",
+            "quad5-fibonacci-r1",
+            "wpoly-N40-r2",
+            "large-p",
+            "fibonacci-N40-r3",
+        ],
     )
     def test_prefixes_take_it(self, route_calls, values, r):
         prefix = as_prefix(values)
         target = join_domains(prefix.domain, domain_of(r))
-        out = apply_transform(prefix, r)
-        assert out.values == double_sum(prefix.promoted(target).values, promote(r, target))
-        assert route_calls == [True]
+        want = double_sum(prefix.promoted(target).values, promote(r, target))
+        for view in VIEWS:
+            assert view(prefix, r) == want
+        assert route_calls == [True] * len(VIEWS)
 
     @pytest.mark.parametrize(
         "values",
@@ -451,8 +513,9 @@ class TestRecurrenceRoute:
         ids=["order-3", "random-64-bit"],
     )
     def test_other_columns_do_not(self, route_calls, values):
-        assert apply_transform(values, 3).values == double_sum(values, 3)
-        assert route_calls == [False]
+        for view in VIEWS:
+            assert view(values, 3) == double_sum(values, 3)
+        assert route_calls == [False] * len(VIEWS)
 
 
 class TestOneKernelRun:
@@ -517,16 +580,7 @@ class TestShiftZero:
         assert time.perf_counter() - t0 < 0.1
         assert out == prefix and out.domain == RAT
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            (3, -1, 0, 7),
-            (Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 4)),
-            (Quad(1, 2, 5), Quad(0, Fraction(-1, 2), 5), Quad(0, 0, 5), Quad(4, 0, 5)),
-            (X, 1 - X, Poly((), "x"), Poly((0, 0, Fraction(3, 2)), "x")),
-        ],
-        ids=["int", "rat", "quad5", "polyx"],
-    )
+    @SHIFT_ZERO_VALUES
     def test_types_and_text_kept(self, values):
         prefix = SequencePrefix(values)
         for r in (0, exactnum.zero(prefix.domain)):

@@ -5,6 +5,7 @@ import re
 import pytest
 
 import binshift.verify as verify
+from binshift import _kernels, series, transform
 from binshift.transform import SequencePrefix
 from binshift.verify import SUITE_NAMES, run_suite
 
@@ -100,6 +101,26 @@ def test_transformed_recurrence_checked_by_the_double_sum(monkeypatch):
         "seed 0, rootshift.transformed_recurrence_coherent, case 0: "
         "family=fibonacci, r=-2"
     )
+
+
+def test_views_checked_by_the_double_sum(monkeypatch):
+    """The OGF and EGF views run the transform's own table, so a table
+    wrong from output 3 on gives both sides of
+    ``models.ogf_matches_operator`` and ``egf_matches_operator`` the same
+    error; the double sum at the drawn index n must catch it."""
+
+    def wrong(column, p):
+        out = _kernels._table(column, p)
+        return out[:3] + [t + 1 for t in out[3:]]
+
+    monkeypatch.setattr(transform, "_table", wrong)
+    monkeypatch.setattr(series, "_table", wrong)
+    report = run_suite("models", seed=0, cases=5, depth=10)
+    failures = {p.name: p.failure for p in report.properties if not p.ok}
+    for name in ("ogf_matches_operator", "egf_matches_operator"):
+        head = re.match(rf"seed 0, models\.{name}, case \d+: .*, n=(\d+)$", failures[name])
+        assert head, failures[name]
+        assert int(head.group(1)) >= 3
 
 
 class TestRunner:
