@@ -30,7 +30,7 @@ sums nest as lazy ``accumulate`` passes and are listed once per
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from itertools import accumulate, repeat
 
 # Chosen from a grid of best-of timings against _difference_table on
@@ -219,23 +219,11 @@ def _operator_sums(c, vals, acc0=0) -> list:
     return out
 
 
-def _over_geometric(xs: Sequence, r, order: int) -> list:
-    """Orders 0..order of xs(z) / (1 - r z), for len(xs) > order.
-
-    Dividing by 1 - r z is the recurrence w_j = x_j + r * w_{j-1}: O(order)
-    operations and no Cauchy product.  At r = 1 it is a prefix sum.
-    """
-    if r == 1:
-        return list(accumulate(xs[: order + 1]))
-    w = [xs[0]]
-    for j in range(1, order + 1):
-        w.append(xs[j] + r * w[-1])
-    return w
-
-
-def _geometric_column(one_s, zero_s, r, order: int, times: int):
-    """Coefficient ``order`` of 1 / (1 - r z)^times."""
-    column = [one_s] + [zero_s] * order
+def _geometric_column(order: int, times: int) -> int:
+    """Coefficient ``order`` of 1 / (1 - z)^times, C(order + times - 1,
+    order): ``times`` prefix sums of [1, 0, ..., 0].  The Riordan view
+    scales it by a power of the shift, whatever the shift's kind."""
+    column = [1] + [0] * order
     for _ in range(times):
-        column = _over_geometric(column, r, order)
+        column = list(accumulate(column))
     return column[-1]

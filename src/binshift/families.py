@@ -81,8 +81,6 @@ _REGISTRY: dict[str, FamilySpec] = {
 
 INTEGER_FAMILIES = ("fibonacci", "lucas", "pell", "jacobsthal", "mersenne")
 
-_R = Poly.indeterminate("r")
-
 # Transformed recurrences of the integer families with the shift symbolic:
 # (coefficient on b_{n-1}, subtracted coefficient on b_{n-2}, initial pair).
 TABLE1_GOLDEN: dict[str, tuple[Poly, Poly, tuple[Scalar, Scalar]]] = {

@@ -20,14 +20,13 @@ routes (the root shift, the unit table, packing) and its shift-0 return;
 ``verify`` checks them against the paper's double sum, which calls no
 kernel.
 
-The Riordan view keeps arithmetic of its own: it never multiplies out
-powers of u = z/(1 - r z), since dividing a truncated series by 1 - r z
-is the recurrence w_j = x_j + r * w_{j-1}, so one entry (n, k) costs
-O(k * (n - k)).  At a rational shift r = p/q it divides by 1 - p z on
-ints and builds one scalar over q^(n-k); at an irrational Quad or a
-non-constant Poly shift it runs on the scalars.  Where the shift the
-loop sees is 1 (r = 1/q lowers to it), the divisions by 1 - z are
-prefix sums.
+The Riordan view keeps arithmetic of its own, which calls no transform
+table, so ``verify`` checks it against the transform.  It rests on the
+scaling identity R(r) = D_r R(1) D_r^(-1), D_r = diag(r^n), the one
+behind the unit table: entry (n, k) is r^(n-k) times an int, coefficient
+n - k of (1 - z)^(-(k+1)), which k + 1 prefix sums of [1, 0, ..., 0]
+give.  One power of r and one product by that int then serve every
+shift kind: int, Fraction, Quad and Poly.
 
 :class:`TruncSeries` keeps its coefficients in ``transform._OneDomain``,
 whose docstring states when results skip ``unify``.
@@ -45,10 +44,8 @@ from .exactnum import (
     Domain,
     Scalar,
     _on_ints,
-    _rational_parts,
     domain_of,
     join_domains,
-    one,
     promote,
     render_scalar,
     zero,
@@ -270,25 +267,18 @@ def riordan_entry(r: Scalar, n: int, k: int) -> Scalar:
     """Entry (n, k) of the transform's Riordan array.
 
     The array is ((1 - r z)^(-1), z (1 - r z)^(-1)); entry (n, k) is the
-    coefficient of z^n in (1 - r z)^(-1) * (z (1 - r z)^(-1))^k.  The
-    factor z^k only moves the coefficient read, so the entry is
-    coefficient n - k of the column [1, 0, ...] divided k + 1 times by
-    1 - r z (``_kernels._geometric_column``): O(k * (n - k)) operations.
-    At a rational shift r = p/q the divisions run by 1 - p z on ints,
-    which gives q^(n-k) times the entry, and the entry is built once over
-    q^(n-k) in the domain of r.  It equals C(n, k) * r^(n-k) and vanishes
-    for k > n.
+    coefficient of z^n in (1 - r z)^(-1) * (z (1 - r z)^(-1))^k, that is
+    coefficient n - k of (1 - r z)^(-(k+1)).  Substituting z -> r z gives
+    the scaling identity R(r) = D_r R(1) D_r^(-1), D_r = diag(r^n): the
+    entry is r^(n-k) times coefficient n - k of (1 - z)^(-(k+1)), which
+    ``_kernels._geometric_column`` takes as k + 1 prefix sums of
+    [1, 0, ..., 0] on ints.  So every shift kind costs one power of r and
+    one product by an int.  The entry equals C(n, k) * r^(n-k) and
+    vanishes for k > n.
     """
     if n < 0 or k < 0:
         raise ValueError("row and column must be nonnegative")
     dom = domain_of(r)
     if k > n:
         return zero(dom)
-    ratio = _rational_parts(r)
-    if ratio is None:
-        return _geometric_column(one(dom), zero(dom), r, n - k, k + 1)
-    p, q = ratio
-    entry = _geometric_column(1, 0, p, n - k, k + 1)
-    if dom.kind == "int":
-        return entry
-    return promote(Fraction(entry, q ** (n - k)), dom)
+    return r ** (n - k) * _geometric_column(n - k, k + 1)

@@ -7,18 +7,21 @@ pytest does not collect this file; ``tests/test_static.py`` checks that
 every snippet occurs exactly once and every node id names a test, so a
 change that moves the code must move its mutants too.
 
-    python tests/mutants.py [name ...]
+    python tests/mutants.py [name or file ...]
 
-copies ``src/`` to a temporary directory, checks that the named node ids
-pass on the unmutated copy, then applies one mutant at a time and runs
-its node ids with that copy on ``PYTHONPATH``.  Only pytest's exit 1 (a
-test failed) counts as a kill.  Every other exit code counts as
-survived, and it is printed beside the mutant, for example ``SURVIVED
-(pytest exit 2)`` when the mutant breaks collection, so a survivor that
-never reached its tests shows as such.  The runner prints each mutant
-as killed or survived and exits 1 if any survives (2 if the unmutated
-copy fails or a snippet is missing).  With no names it runs the whole
-table.  Standard library only.
+runs the named mutants and every mutant of each named source file (a
+file name under ``src/binshift``, for example ``series.py``); with no
+arguments it runs the whole table.  It copies ``src/`` to a temporary
+directory, checks that the chosen node ids pass on the unmutated copy,
+then applies one mutant at a time and runs its node ids with that copy
+on ``PYTHONPATH``.  Only pytest's exit 1 (a test failed) counts as a
+kill.  Every other exit code counts as survived, and it is printed
+beside the mutant, for example ``SURVIVED (pytest exit 2)`` when the
+mutant breaks collection, so a survivor that never reached its tests
+shows as such.  The runner prints each mutant as killed or survived and
+exits 1 if any survives, 2 if the unmutated copy fails, a snippet is
+missing or an argument names neither a mutant nor a file of the table.
+Standard library only.
 """
 
 import os
@@ -196,18 +199,25 @@ MUTANTS = (
     ),
     # the series views
     Mutant(
-        "over-geometric-without-r",
-        "_kernels.py",
-        "w.append(xs[j] + r * w[-1])",
-        "w.append(xs[j] + w[-1])",
-        ("tests/test_series.py::TestRiordanEntry",),
+        "riordan-power-one-off",
+        "series.py",
+        "r ** (n - k) * _geometric_column",
+        "r ** (n - k + 1) * _geometric_column",
+        ("tests/test_series.py::TestRiordanEntry::test_literals",),
     ),
     Mutant(
-        "over-geometric-prefix-sum-short",
+        "riordan-one-prefix-sum-short",
         "_kernels.py",
-        "list(accumulate(xs[: order + 1]))",
-        "list(accumulate(xs[:order])) + [xs[order]]",
-        ("tests/test_series.py::TestRiordanEntry",),
+        "for _ in range(times):",
+        "for _ in range(times - 1):",
+        ("tests/test_series.py::TestRiordanEntry::test_literals",),
+    ),
+    Mutant(
+        "riordan-shift-checked-above-the-diagonal-only",
+        "series.py",
+        "dom = domain_of(r)\n    if k > n:\n        return zero(dom)",
+        "if k > n:\n        return zero(domain_of(r))",
+        ("tests/test_series.py::TestRiordanEntry::test_float_and_bool_shifts_rejected",),
     ),
     Mutant(
         "views-shift-zero-reaches-the-table",
@@ -233,6 +243,16 @@ MUTANTS = (
         "holds = holds and out[n] == _double_sum(base, r, n)",
         "holds = holds",
         ("tests/test_verify.py::test_views_checked_by_the_double_sum",),
+    ),
+    Mutant(
+        "naive-substitution-shift-by-plus-r",
+        "verify.py",
+        "base = [-rp, one_s]",
+        "base = [rp, one_s]",
+        (
+            "tests/test_verify.py::test_each_suite_passes",
+            "tests/test_view_guards.py::TestViewsDoNotCallTheKernel",
+        ),
     ),
     Mutant(
         "double-sum-one-binomial-off",
@@ -530,12 +550,18 @@ def _pytest(src: Path, node_ids, cwd: Path) -> int:
     return done.returncode
 
 
+def selected(names) -> list:
+    """The mutants that ``names`` picks by name or by source file, in
+    table order; the whole table when ``names`` is empty."""
+    return [m for m in MUTANTS if not names or {m.name, m.file} & set(names)]
+
+
 def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
+    unknown = set(names) - {m.name for m in MUTANTS} - {m.file for m in MUTANTS}
     if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        print(f"unknown mutants or files: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+    chosen = selected(names)
     node_ids = list(dict.fromkeys(n for m in chosen for n in m.node_ids))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

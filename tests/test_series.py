@@ -208,6 +208,22 @@ class TestRiordanEntry:
         with pytest.raises(ValueError):
             riordan_entry(1, 0, -2)
 
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            (2.5, "floating point values are not supported; use Fraction"),
+            (True, "bool is not a scalar"),
+        ],
+        ids=["float", "bool"],
+    )
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 3), (1, 3)])
+    def test_float_and_bool_shifts_rejected(self, r, message, n, k):
+        """On and below the diagonal as above it: the shift is checked
+        before any arithmetic."""
+        with pytest.raises(TypeError) as raised:
+            riordan_entry(r, n, k)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("r", [-2, -1, 0, 1, 2, Fraction(1, 2)])
     def test_closed_form(self, r):
         for n in range(9):
@@ -379,6 +395,36 @@ class TestViewsGrowQuadratically:
         assert ratio < 5
 
 
+class TestRiordanEntryBuildsTwoValues:
+    """An entry is a power of r times an int: at a non-constant Poly or an
+    irrational Quad shift it builds at most two values, wherever it is."""
+
+    @pytest.mark.parametrize(
+        "r",
+        [
+            Poly((0, 1), "r"),
+            Poly((Fraction(1, 3), -2, 1), "x"),
+            Quad(1, 1, 5),
+            Quad(0, -2, 999983),
+        ],
+        ids=["poly-r", "poly-x", "quad5", "quad999983"],
+    )
+    @pytest.mark.parametrize("n, k", [(40, 10), (24, 12), (9, 9), (6, 0)])
+    def test_at_most_two(self, monkeypatch, r, n, k):
+        built = [0]
+        original = type(r)._new
+
+        def counted(cls, *args):
+            built[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(type(r), "_new", classmethod(counted))
+        got = riordan_entry(r, n, k)
+        monkeypatch.undo()
+        assert built[0] <= 2
+        assert got == math.comb(n, k) * r ** (n - k)
+
+
 def egf_by_series_mul(f, r):
     """exp(r t) * f by series_mul with the series of powers of r: the
     EGF product itself, on the scalars (test oracle)."""
@@ -509,16 +555,18 @@ def ogf_and_shift_st(draw):
 
 @st.composite
 def riordan_case_st(draw):
-    """A shift of any kind and a position (n, k), k > n included."""
+    """A shift of any kind and a position (n, k), n <= 24 and k <= n + 2."""
     dom = draw(st.sampled_from([INT, RAT, *map(quad_domain, RADICANDS), poly_domain("x")]))
     r = draw(shifts_st(dom))
-    return r, draw(st.integers(0, 9)), draw(st.integers(0, 10))
+    n = draw(st.integers(0, 24))
+    return r, n, draw(st.integers(0, n + 2))
 
 
 class TestRationalShiftViewsDifferential:
-    """The OGF substitution and the Riordan entry, on ints at a rational
-    shift and on the scalars otherwise, give scalar for scalar what their
-    scalar routes and the closed forms give."""
+    """The OGF substitution, on ints at a rational shift and on the
+    scalars otherwise, and the Riordan entry, a power of r times an int,
+    give scalar for scalar what their scalar routes and the closed forms
+    give."""
 
     @settings(max_examples=250, deadline=None)
     @given(ogf_and_shift_st())
@@ -561,6 +609,9 @@ class TestRationalShiftViewsDifferential:
     @example((Fraction(2), 6, 2))
     @example((Quad(Fraction(-3, 4), 0, -3), 5, 1))
     @example((Poly((Fraction(5, 2),), "x"), 4, 2))
+    # far from the diagonal at a non-constant Poly and an irrational Quad
+    @example((Poly((0, 1), "r"), 40, 10))
+    @example((Quad(1, 1, 5), 40, 10))
     def test_riordan_entry(self, case):
         r, n, k = case
         got = riordan_entry(r, n, k)

@@ -31,7 +31,6 @@ LOOPS = (
     "_continued",
     "_operator_sums",
     "_taylor_shift",
-    "_over_geometric",
     "_geometric_column",
 )
 CORE = {"_of", "domain", "promoted", "__eq__", "__hash__"}
@@ -109,6 +108,20 @@ class TestMutantTable:
     def test_names_unique(self):
         names = [m.name for m in mutants.MUTANTS]
         assert len(names) == len(set(names))
+
+    def test_selection_by_name_and_by_file(self):
+        by_file = mutants.selected(["series.py", "riordan-one-prefix-sum-short"])
+        assert [m for m in by_file if m.file != "series.py"] == [
+            m for m in mutants.MUTANTS if m.name == "riordan-one-prefix-sum-short"
+        ]
+        assert [m for m in by_file if m.file == "series.py"] == [
+            m for m in mutants.MUTANTS if m.file == "series.py"
+        ]
+        assert mutants.selected([]) == list(mutants.MUTANTS)
+
+    def test_unknown_argument_exits_2(self, capsys):
+        assert mutants.main(["series.py", "no-such-file.py"]) == 2
+        assert capsys.readouterr().err == "unknown mutants or files: no-such-file.py\n"
 
     @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
     def test_snippet_occurs_once(self, mutant):
