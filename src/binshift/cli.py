@@ -47,7 +47,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import BinshiftError
-from .exactnum import Poly, Scalar, _rational_parts, render_scalar
+from .exactnum import Scalar, _numerators, _rational_parts, render_scalar
 from .families import (
     family_char_poly,
     family_names,
@@ -229,10 +229,7 @@ def _check_output_size(values: Sequence[Scalar], r: Scalar, n: int) -> None:
     if r == 0 or n < 0:  # the identity prints its capped input; n < 0 fails later
         return
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    parts = [
-        v._numerators() if isinstance(v, Poly) else ((v.numerator,), v.denominator)
-        for v in values[: n + 1]
-    ]
+    parts = [_numerators(v) for v in values[: n + 1]]
     common = 1
     for den in {den for _, den in parts}:
         common = math.lcm(common, den)

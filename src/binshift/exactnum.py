@@ -38,23 +38,25 @@ computed in one joined domain skip it through their unchecked ``_of``.
 
 The transform, the root shift, the EGF and the OGF views run their
 kernel through ``_on_ints``, on one native-int column.  For a shift
-r = S/e, with S = p and e = q for a rational p/q and S an int polynomial
-for a non-constant Poly shift, a sequence of rat, quad or poly values is
-lowered to int columns over one common denominator with
-``_int_columns``; ints and Fractions among them are read into the
-rational column as they are, so callers hand over their inputs without
-promoting them into the target domain.  Several columns (the two parts
-of a quad, the coefficients of a poly, or the output degree a Poly
-shift adds) are packed Kronecker-style into w-bit slots of one int
-column, the kernel runs once with p or S(2^w), and the slots are read
-back; at a rational shift, short prefixes and very wide slots keep one
-run per column.
+r = S/e, S the int polynomial of the numerators of r and e their
+denominator (a rational p/q is the degree-0 case, S = p and e = q), a
+sequence of rat, quad or poly values is lowered to int columns over
+one common denominator with ``_int_columns``; ints and Fractions among
+them are read into the rational column as they are, so callers hand
+over their inputs without promoting them into the target domain.
+Several columns (the two parts of a quad, the coefficients of a poly,
+or the output degree a Poly shift adds) are packed Kronecker-style into
+w-bit slots of one int column, the kernel runs once with S(2^w), and
+the slots are read back; at a rational shift, short prefixes and very
+wide slots keep one run per column.
 Every result is built once with ``_from_int_columns`` over ``D * e**j``,
 by one row comprehension for quad and poly values.  A quad prefix of
 rational values lowers to one column, as a rat prefix does.
-``_rational_parts`` reads p and q off a rational-valued scalar.  Only the
-int domain and an irrational Quad shift run the kernel on the scalars,
-and the latter is the one branch that promotes the values first.
+``_numerators`` is the one reader, outside ``Poly`` and ``Quad``, of the
+int numerators and the denominator of a scalar, and ``_rational_parts``
+reads p and q off a rational-valued scalar through it.  Only the int
+domain and an irrational Quad shift run the kernel on the scalars, and
+the latter is the one branch that promotes the values first.
 ``recurrence.unroll`` and ``recurrence.apply_char_operator`` call
 ``_int_columns`` and ``_from_int_columns`` themselves: there the
 coefficients, not a shift, bring the second denominator.
@@ -282,17 +284,6 @@ class _IntNumerators:
         self._tag = tag
         return self
 
-    def _numerators(self) -> tuple[tuple[int, ...], int]:
-        """The int numerators, ascending, and their common denominator."""
-        return self._nums, self._den
-
-    def _ratio(self) -> tuple[int, int] | None:
-        """``(p, q)`` with the value p/q and q > 0, or None if irrational."""
-        nums = self._nums
-        if len(nums) > 1:
-            return None
-        return (nums[0] if nums else 0), self._den
-
     def _times(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
         """The product of raw numerator tuples: their convolution."""
         out = [0] * (len(x) + len(y) - 1)
@@ -358,14 +349,14 @@ class _IntNumerators:
             return len(self._nums) <= 1 or self._tag == other._tag
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             # lowest terms on both sides: compare numerator and denominator
-            return self._ratio() == (other.numerator, other.denominator)
+            return _rational_parts(self) == (other.numerator, other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
         # Rational values hash like their Fraction so that x == y implies
         # hash(x) == hash(y) across domains; an irrational value hashes
         # without its tag, which equal values share.
-        ratio = self._ratio()
+        ratio = _rational_parts(self)
         if ratio is None:
             return hash((self._nums, self._den))
         return hash(Fraction(*ratio))
@@ -617,13 +608,24 @@ def unify(
     )
 
 
+def _numerators(x: Scalar) -> tuple[tuple[int, ...], int]:
+    """The int numerators of ``x`` in ascending powers of its symbol, with
+    no trailing zeros (``()`` for zero), and their positive common
+    denominator: the stored ones of a Quad or Poly, and ``(p,)`` over q
+    for an int or a Fraction p/q.  Builds no Fraction."""
+    if isinstance(x, _IntNumerators):
+        return x._nums, x._den
+    return ((x.numerator,) if x else ()), x.denominator
+
+
 def _rational_parts(x: Scalar) -> tuple[int, int] | None:
     """``(p, q)`` with x == p/q and q > 0 for an int, a Fraction, a Quad
     with zero radical part or a constant Poly; None for an irrational
-    Quad or a non-constant Poly.  Builds no Fraction."""
-    if isinstance(x, _IntNumerators):
-        return x._ratio()
-    return x.numerator, x.denominator
+    Quad or a non-constant Poly.  Read off :func:`_numerators`."""
+    nums, den = _numerators(x)
+    if len(nums) > 1:
+        return None
+    return (nums[0] if nums else 0), den
 
 
 def _int_columns(
@@ -632,10 +634,10 @@ def _int_columns(
     """Lower non-empty rat, quad(d) or poly(x) ``values`` to int columns
     over one common denominator D; returns the columns and D.
 
-    A row is the stored numerators of a Quad or Poly (trailing zeros
-    stripped), or ``(n,)`` for an int or a Fraction n/d that promotes
-    into ``dom``, so nothing is promoted first.  Column j holds the
-    numerators of s^j, s the indeterminate or sqrt(d): one column per
+    A row is what :func:`_numerators` reads off a value: the stored
+    numerators of a Quad or Poly, or those of an int or a Fraction that
+    promotes into ``dom``, so nothing is promoted first.  Column j holds
+    the numerators of s^j, s the indeterminate or sqrt(d): one column per
     coefficient index up to the longest row, and at least one, so a
     prefix of zeros still yields rows.  A quad(d) prefix has a radical
     column only when some value has a radical part; a rational one is a
@@ -648,12 +650,7 @@ def _int_columns(
     if dom.kind == "rat":
         nums, den = _over_common_denominator(values)
         return [nums], den
-    parts = [
-        v._numerators()
-        if isinstance(v, _IntNumerators)
-        else ((v.numerator,), v.denominator)
-        for v in values
-    ]
+    parts = [_numerators(v) for v in values]
     den = math.lcm(*[d for _, d in parts])
     rows = [nums if d == den else [x * (den // d) for x in nums] for nums, d in parts]
     columns = list(map(list, zip_longest(*rows, fillvalue=0)))
@@ -698,9 +695,11 @@ def _on_ints(kernel, values: Sequence[Scalar], r: Scalar, dom: Domain) -> list:
 
     ``values`` are in ``dom``, or are ints and Fractions that promote
     into it, read by :func:`_int_columns` as they are; ``r`` joins with
-    ``dom``.  Write r = S/e with e > 0 an int and S an int polynomial:
-    S = p and e = q for a rational r = p/q, the numerators of r over
-    their denominator for a non-constant Poly.  ``values`` are lowered
+    ``dom``.  Write r = S/e, S the int polynomial of the numerators that
+    :func:`_numerators` reads off r and e > 0 their denominator.  A
+    rational r = p/q is the degree-0 case, S = p (0 at a zero shift) and
+    e = q, so it takes the route of a Poly shift with one reading of r,
+    one norm ||S||_1 and one packed p = S(2^w).  ``values`` are lowered
     to C int columns over one common denominator D
     (:func:`_int_columns`), entry k of each scaled by e^k (skipped when
     e is 1), so that the kernel run with S gives D * e^n times output n.
@@ -712,10 +711,10 @@ def _on_ints(kernel, values: Sequence[Scalar], r: Scalar, dom: Domain) -> list:
     sum_j col_j[k] x^j (x a formal variable standing for sqrt(d) in a
     quad, the indeterminate itself for a poly) and packed
     Kronecker-style as its value at x = 2^w; the kernel runs once, with
-    the int p = S(2^w).  Evaluation at 2^w is a ring map from Z[x] to Z,
-    so output n is the value at 2^w of sum_k c_nk S^(n-k) t'_k, a
-    polynomial of degree below C + N * deg(S) (N + 1 the number of
-    values) each of whose coefficients is at most
+    the int p = S(2^w), which is p itself at degree 0.  Evaluation at
+    2^w is a ring map from Z[x] to Z, so output n is the value at 2^w of
+    sum_k c_nk S^(n-k) t'_k, a polynomial of degree below C + N * deg(S)
+    (N + 1 the number of values) each of whose coefficients is at most
     max|t'| * sum_k |c_nk| ||S||_1^(n-k) <= max|t'| * (||S||_1 + 1)^N in
     absolute value.  With max|t'| <= 2^b - 1 (b the largest bit length of
     an entry) the slot width
@@ -734,15 +733,11 @@ def _on_ints(kernel, values: Sequence[Scalar], r: Scalar, dom: Domain) -> list:
     """
     if dom.kind == "int":
         return kernel(list(values), r)
-    ratio = _rational_parts(r)
-    if ratio is not None:
-        (p, e), deg = ratio, 0
-        norm = abs(p)
-    elif dom.kind == "poly":
-        shift_nums, e = r._numerators()
-        deg, norm = len(shift_nums) - 1, sum(map(abs, shift_nums))
-    else:
+    shift, e = _numerators(r)
+    deg = max(len(shift) - 1, 0)
+    if deg and dom.kind == "quad":
         return kernel([promote(v, dom) for v in values], r)
+    p = shift[0] if shift else 0
     columns, den = _int_columns(values, dom)
     n = len(values) - 1
     if e != 1:
@@ -753,11 +748,10 @@ def _on_ints(kernel, values: Sequence[Scalar], r: Scalar, dom: Domain) -> list:
     ):
         return _from_int_columns([kernel(col, p) for col in columns], den, e, dom)
     top = (1 << max(map(int.bit_length, chain.from_iterable(columns)))) - 1
-    w = (top * (norm + 1) ** n).bit_length() + 1
-    if deg:
-        p = sum([s << (i * w) for i, s in enumerate(shift_nums)])
-    elif w > _PACK_MAX_W:
+    w = (top * (sum(map(abs, shift)) + 1) ** n).bit_length() + 1
+    if not deg and w > _PACK_MAX_W:
         return _from_int_columns([kernel(col, p) for col in columns], den, e, dom)
+    p = sum([s << (i * w) for i, s in enumerate(shift)])  # S(2^w)
     out = kernel(_packed(columns, w), p)
     return _from_int_columns(_unpacked(out, len(columns) + n * deg, w), den, e, dom)
 

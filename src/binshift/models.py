@@ -29,6 +29,7 @@ from .exactnum import (
     RAT,
     Domain,
     Scalar,
+    _numerators,
     _over_common_denominator,
     domain_of,
     join_domains,
@@ -106,6 +107,8 @@ class BinetForm:
 
 def binet_eval(form: BinetForm, n: int) -> Scalar:
     """The value a_n = sum_j c_j rho_j^n."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError("index must be an int")
     if n < 0:
         raise ValueError("index must be nonnegative")
     (c, rho), *rest = form.terms
@@ -200,10 +203,10 @@ def model_from_recurrence(rec: Recurrence) -> MatrixModel:
     return MatrixModel(m, u, rec.init)
 
 
-def _mat_vec(m: Sequence[Sequence[Scalar]], w: Sequence[Scalar], zero_s: Scalar):
+def _mat_vec(m: Sequence[Sequence[Scalar]], w: Sequence[Scalar]) -> list:
     out = []
     for row in m:
-        acc = zero_s
+        acc = 0
         for x, y in zip(row, w):
             acc = acc + x * y
         out.append(acc)
@@ -213,54 +216,47 @@ def _mat_vec(m: Sequence[Sequence[Scalar]], w: Sequence[Scalar], zero_s: Scalar)
 def matrix_transform_eval(model: MatrixModel, r: Scalar, n: int) -> Scalar:
     """Value b_n = u^T (M + r I)^n v of the shift-r transform.
 
-    For an int or rat model and a rational r = p/q the power runs on
-    ints: with M = M'/E, u = u'/D_u and v = v'/D_v over common
-    denominators, b_n = u'^T (q M' + p E I)^n v' / (D_u D_v (q E)^n), and
-    one Fraction (an int for an int model and an int r) is built at the
-    end.  Quad and poly models multiply their scalars.
+    Write r = s/q with q > 0 an int: s is an int for a rational r, and
+    r * q otherwise (a Quad or Poly over 1).  With M = M'/E, u = u'/D_u
+    and v = v'/D_v, the entries of a rat model over their common
+    denominators and E = D_u = D_v = 1 for any other model,
+    M + (s/q) I = (q M' + s E I)/(q E), so
+
+        b_n = u'^T (q M' + s E I)^n v' / (D_u D_v (q E)^n).
+
+    The power runs on ints for an int or rat model at a rational shift,
+    and otherwise multiplies ints by the Quads or Polys of the model or
+    of s, which needs no promotion.  The quotient is built once at the
+    end: an int for an int target, one Fraction for a rat target, and
+    one promotion and one product for a quad or poly target.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError("index must be an int")
     if n < 0:
         raise ValueError("index must be nonnegative")
     target = join_domains(model.domain, domain_of(r))
-    if target.kind in ("int", "rat"):
-        return _rational_matrix_eval(model, r, n, target)
-    if target != model.domain:
-        # The constructor joins every entry, so a widened v widens the model.
-        model = MatrixModel(model.matrix, model.u, unify(model.v, target)[1])
-    rp = promote(r, target)
-    zero_s = zero(target)
-    shifted = [
-        [x + rp if i == j else x for j, x in enumerate(row)]
-        for i, row in enumerate(model.matrix)
-    ]
-    w = model.v
-    for _ in range(n):
-        w = _mat_vec(shifted, w, zero_s)
-    acc = zero_s
-    for x, y in zip(model.u, w):
-        acc = acc + x * y
-    return acc
-
-
-def _rational_matrix_eval(
-    model: MatrixModel, r: int | Fraction, n: int, target: Domain
-) -> int | Fraction:
-    """u^T (M + r I)^n v on ints, for an int or rat model and an int or
-    Fraction r joining into ``target``."""
+    nums, q = _numerators(r)
+    s = r * q if len(nums) > 1 else sum(nums)  # sum(nums) is p at r = p/q
+    flat = [x for row in model.matrix for x in row]
+    u, w = model.u, model.v
+    e = d_u = d_v = 1
+    if model.domain.kind == "rat":
+        flat, e = _over_common_denominator(flat)
+        u, d_u = _over_common_denominator(u)
+        w, d_v = _over_common_denominator(w)
     dim = model.dim
-    flat, e = _over_common_denominator([x for row in model.matrix for x in row])
-    u, d_u = _over_common_denominator(model.u)
-    w, d_v = _over_common_denominator(model.v)
-    p, q = r.numerator, r.denominator
     shifted = [[q * x for x in flat[i : i + dim]] for i in range(0, dim * dim, dim)]
     for i, row in enumerate(shifted):
-        row[i] += p * e
+        row[i] += s * e
     for _ in range(n):
-        w = _mat_vec(shifted, w, 0)
+        w = _mat_vec(shifted, w)
     total = sum([x * y for x, y in zip(u, w)])
     if target.kind == "int":
         return total
-    return Fraction(total, d_u * d_v * (q * e) ** n)
+    den = d_u * d_v * (q * e) ** n
+    if target.kind == "rat":
+        return Fraction(total, den)
+    return total * promote(Fraction(1, den), target)
 
 
 def colored_count_bruteforce(a: PrefixLike, r: int, n: int) -> int:

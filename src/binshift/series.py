@@ -276,6 +276,8 @@ def riordan_entry(r: Scalar, n: int, k: int) -> Scalar:
     one product by an int.  The entry equals C(n, k) * r^(n-k) and
     vanishes for k > n.
     """
+    if any(not isinstance(i, int) or isinstance(i, bool) for i in (n, k)):
+        raise TypeError("row and column must be ints")
     if n < 0 or k < 0:
         raise ValueError("row and column must be nonnegative")
     dom = domain_of(r)

@@ -52,6 +52,7 @@ POLY = "tests/test_exactnum.py::TestPoly"
 SQUAREFREE = "tests/test_exactnum.py::TestSquarefree"
 INT_COLUMNS = ("tests/test_exactnum.py::TestIntColumns",)
 ORACLE = ("tests/test_exactnum_oracle.py::TestAgainstFractionReference",)
+MATRIX = "tests/test_models.py::TestMatrixIntPathDifferential::test_matches_scalar_route"
 
 MUTANTS = (
     # the root-shift route
@@ -275,8 +276,8 @@ MUTANTS = (
     Mutant(
         "pack-w-one-bit-short",
         "exactnum.py",
-        "w = (top * (norm + 1) ** n).bit_length() + 1",
-        "w = (top * (norm + 1) ** n).bit_length()",
+        "w = (top * (sum(map(abs, shift)) + 1) ** n).bit_length() + 1",
+        "w = (top * (sum(map(abs, shift)) + 1) ** n).bit_length()",
         PACKED,
     ),
     Mutant(
@@ -321,8 +322,8 @@ MUTANTS = (
     Mutant(
         "shift-norm-from-leading-coefficient",
         "exactnum.py",
-        "sum(map(abs, shift_nums))",
-        "abs(shift_nums[-1])",
+        "sum(map(abs, shift))",
+        "(abs(shift[-1]) if shift else 0)",
         PACKED,
     ),
     Mutant(
@@ -339,7 +340,7 @@ MUTANTS = (
         "",
         ONE_RUN,
     ),
-    Mutant("no-width-limit", "exactnum.py", "elif w > _PACK_MAX_W:", "elif False:", ONE_RUN),
+    Mutant("no-width-limit", "exactnum.py", "if not deg and w > _PACK_MAX_W:", "if False:", ONE_RUN),
     Mutant(
         "results-without-q^j-denominators",
         "exactnum.py",
@@ -417,9 +418,20 @@ MUTANTS = (
     Mutant(
         "quad-rows-padded-to-two-numerators",
         "exactnum.py",
-        "else ((v.numerator,), v.denominator)",
-        """else ((v.numerator, 0) if dom.kind == "quad" else (v.numerator,), v.denominator)""",
+        "parts = [_numerators(v) for v in values]",
+        """parts = [
+        ((_numerators(v)[0] + (0, 0))[:2] if dom.kind == "quad" else _numerators(v)[0],
+         _numerators(v)[1])
+        for v in values
+    ]""",
         INT_COLUMNS,
+    ),
+    Mutant(
+        "numerators-of-a-fraction-over-1",
+        "exactnum.py",
+        "return ((x.numerator,) if x else ()), x.denominator",
+        "return ((x.numerator,) if x else ()), 1",
+        ("tests/test_exactnum.py::TestNumerators",),
     ),
     Mutant(
         "sub-adds",
@@ -518,6 +530,36 @@ MUTANTS = (
         if len(vals) < 2:
             raise ValueError("characteristic polynomial needs degree at least 1")""",
         ("tests/test_recurrence.py::TestCharPoly::test_validation",),
+    ),
+    # the matrix view's one loop, u'^T (q M' + s E I)^n v' / (D_u D_v (q E)^n)
+    Mutant(
+        "matrix-diagonal-shift-not-scaled-by-E",
+        "models.py",
+        "row[i] += s * e",
+        "row[i] += s",
+        (MATRIX,),
+    ),
+    Mutant(
+        "matrix-denominator-without-E",
+        "models.py",
+        "(q * e) ** n",
+        "q ** n",
+        (MATRIX,),
+    ),
+    Mutant(
+        "matrix-off-diagonal-not-scaled-by-q",
+        "models.py",
+        "[[q * x for x in flat[i : i + dim]] for i in range(0, dim * dim, dim)]",
+        "[[q * x if j == i // dim else x for j, x in enumerate(flat[i : i + dim])]"
+        " for i in range(0, dim * dim, dim)]",
+        (MATRIX,),
+    ),
+    Mutant(
+        "matrix-quad-poly-result-undivided",
+        "models.py",
+        "return total * promote(Fraction(1, den), target)",
+        "return promote(total, target)",
+        (MATRIX,),
     ),
     # the CLI's help width
     Mutant(

@@ -749,7 +749,7 @@ class TestRingLaws:
     def test_quad_pow_matches_quad_products(self, q, n):
         got = q**n
         want = power_by_products(q, n)
-        assert got._numerators() == want._numerators()
+        assert exactnum._numerators(got) == exactnum._numerators(want)
         assert got.d == want.d
         assert _canonical(got) == want
 
@@ -970,3 +970,32 @@ class TestIntColumns:
         assert exactnum._int_columns(values, dom) == (columns, den)
         back = exactnum._from_int_columns(columns, den, 1, dom)
         assert_same_scalars(back, [promote(v, dom) for v in values])
+
+
+class TestNumerators:
+    """``exactnum._numerators`` reads the ascending int numerators, with no
+    trailing zeros, and the positive denominator of every kind of scalar;
+    ``_rational_parts`` reads p/q through it."""
+
+    @pytest.mark.parametrize(
+        "x, nums, den",
+        [
+            (0, (), 1),
+            (-7, (-7,), 1),
+            (Fraction(0), (), 1),
+            (Fraction(-3, 4), (-3,), 4),
+            (Quad(Fraction(2, 3), 0, 5), (2,), 3),
+            (Quad(Fraction(1, 2), Fraction(-1, 3), 5), (3, -2), 6),
+            (Poly((), "x"), (), 1),
+            (Poly((0, Fraction(1, 2), 1), "x"), (0, 1, 2), 2),
+        ],
+        ids=["zero", "int", "zero-fraction", "fraction", "rational-quad", "quad",
+             "zero-poly", "poly"],
+    )
+    def test_every_scalar(self, x, nums, den):
+        assert exactnum._numerators(x) == (nums, den)
+        ratio = exactnum._rational_parts(x)
+        if len(nums) > 1:
+            assert ratio is None
+        else:
+            assert Fraction(*ratio) == x and ratio[1] == den

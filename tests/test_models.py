@@ -312,10 +312,15 @@ RAT_MODEL = MatrixModel(
 )
 
 
+FIB_MODEL = MatrixModel([[0, 1], [1, 1]], [1, 0], [0, 1])
+
+
 class TestMatrixIntPathDifferential:
-    """The matrix view, on ints for an int or rat model at a rational
-    shift and on the scalars otherwise, gives scalar for scalar what its
-    scalar route gives."""
+    """The matrix view's one loop, u'^T (q M' + s E I)^n v' over
+    D_u D_v (q E)^n with r = s/q, gives scalar for scalar what the scalar
+    route on the widened model gives, for every model and shift kind: on
+    ints for an int or rat model at a rational shift, and with the ints
+    times the Quads or Polys of the model or of s otherwise."""
 
     @settings(max_examples=250, deadline=None)
     @given(model_case_st())
@@ -328,6 +333,9 @@ class TestMatrixIntPathDifferential:
     @example((RAT_MODEL, 2, 4))
     @example((MatrixModel([[1, 1], [1, 0]], [1, 0], [0, 1]), Fraction(2), 5))
     @example((RAT_MODEL, Quad(Fraction(1, 2), 0, 5), 3))
+    # an int model at an irrational Quad and a non-constant Poly shift
+    @example((FIB_MODEL, Quad(1, 1, 5), 40))
+    @example((FIB_MODEL, Poly((0, 1), "r"), 40))
     def test_matches_scalar_route(self, case):
         model, r, n = case
         got = matrix_transform_eval(model, r, n)

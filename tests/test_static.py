@@ -6,6 +6,9 @@
 * The one-domain containers share the storage, unchecked constructor,
   promotion and equality of ``transform._OneDomain``; only
   ``TruncSeries``, whose kind takes part, redefines them.
+* The int-numerator layout of ``Poly`` and ``Quad`` stays behind
+  ``exactnum``: no other module reads ``_nums``, ``_den`` or ``_tag`` or
+  calls a ``_numerators`` method; they call ``exactnum._numerators``.
 * The mutant table of ``tests/mutants.py`` is in sync with the source:
   every snippet occurs exactly once and every node id names a test.
 * Every annotation in the package resolves with ``typing.get_type_hints``.
@@ -34,6 +37,7 @@ LOOPS = (
     "_geometric_column",
 )
 CORE = {"_of", "domain", "promoted", "__eq__", "__hash__"}
+LAYOUT = {"_nums", "_den", "_tag", "_numerators"}
 
 
 def _tree(path):
@@ -74,6 +78,17 @@ class TestLayering:
                 if isinstance(node, ast.FunctionDef) and node.name in defs:
                     defs[node.name].append(path.name)
         assert defs == {name: ["_kernels.py"] for name in LOOPS}
+
+
+def test_numerator_layout_read_only_in_exactnum():
+    reads = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "exactnum.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT
+    ]
+    assert reads == []
 
 
 def _methods(cls_node):

@@ -12,7 +12,10 @@
   and EGF views run the transform's table, and verify checks them
   against that double sum.
 * At a rational shift the OGF, Riordan and matrix views build their
-  Fractions only for the results, not per term.
+  Fractions only for the results, not per term, and the matrix view
+  keeps a rat model on ints.  At an irrational Quad or a non-constant
+  Poly shift the matrix view promotes no more than its result.
+* The Binet, matrix and Riordan views take only ints as indices.
 """
 
 import contextlib
@@ -25,11 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binshift import _kernels
+from binshift import _kernels, exactnum
 from binshift.exactnum import Poly, Quad, domain_of, join_domains, one, promote, unify
 from binshift.families import family_binet_form, family_prefix, family_recurrence
 from binshift.models import (
     BinetForm,
+    MatrixModel,
     binet_eval,
     binet_shift,
     matrix_transform_eval,
@@ -219,6 +223,10 @@ def fractions_built(monkeypatch):
     return calls
 
 
+FIB_MODEL = model_from_recurrence(family_recurrence("fibonacci"))
+JACOBSTHAL_FORM = family_binet_form("jacobsthal")
+
+
 class TestRationalShiftViewsBuildFewFractions:
     """At a rational shift the OGF, Riordan and matrix views run on ints
     and build their results once: the counts below include the results."""
@@ -242,9 +250,67 @@ class TestRationalShiftViewsBuildFewFractions:
         assert got == Fraction(math.comb(n, k), 2 ** (n - k))
 
     def test_int_companion_model(self, fractions_built):
-        model = model_from_recurrence(family_recurrence("fibonacci"))
-        r = Fraction(1, 2)
-        fractions_built[0] = 0
-        got = matrix_transform_eval(model, r, 15)
-        assert fractions_built[0] <= 2
-        assert got == double_sum(family_prefix("fibonacci", 15), r)[15]
+        """An int companion model, and a rat model, which is lowered to
+        ints over its common denominators rather than run on Fractions."""
+        rat = MatrixModel(
+            [[Fraction(1, 2), Fraction(-2, 3)], [1, Fraction(3, 4)]],
+            [Fraction(1, 3), 2],
+            [Fraction(5, 7), -1],
+        )
+        for model, r, n in [(FIB_MODEL, Fraction(1, 2), 15), (rat, Fraction(-3, 5), 12)]:
+            want = double_sum(_model_terms(model, n), r)[n]
+            fractions_built[0] = 0
+            got = matrix_transform_eval(model, r, n)
+            assert fractions_built[0] <= 2
+            assert got == want
+
+
+def _model_terms(model, n):
+    """u^T M^k v for k = 0..n, by scalar products."""
+    terms, w = [], list(model.v)
+    for _ in range(n + 1):
+        terms.append(sum([x * y for x, y in zip(model.u, w)]))
+        w = [sum([x * y for x, y in zip(row, w)]) for row in model.matrix]
+    return terms
+
+
+class TestMatrixViewPromotesOnce:
+    """At an irrational Quad or a non-constant Poly shift the matrix view
+    multiplies the int model by the shift's scalars: it promotes at most
+    the result, not every entry of a widened model."""
+
+    @pytest.mark.parametrize(
+        "r", [Quad(1, 1, 5), Poly((0, 1), "r")], ids=["quad", "poly"]
+    )
+    def test_fibonacci_companion_model(self, monkeypatch, r):
+        want = double_sum(family_prefix("fibonacci", 15), r)[15]
+        calls = [0]
+        original = exactnum.promote
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        for mod, attr in _binshift_bindings(original):
+            monkeypatch.setattr(mod, attr, counted)
+        got = matrix_transform_eval(FIB_MODEL, r, 15)
+        assert calls[0] <= 2
+        assert got == want
+        assert domain_of(got) == domain_of(r)
+
+
+
+@pytest.mark.parametrize("index", [2.0, True, Fraction(2)], ids=["float", "bool", "fraction"])
+@pytest.mark.parametrize(
+    "view",
+    [
+        lambda i: binet_eval(JACOBSTHAL_FORM, i),
+        lambda i: matrix_transform_eval(FIB_MODEL, 1, i),
+        lambda i: riordan_entry(2, 3, i),
+        lambda i: riordan_entry(2, i, 1),
+    ],
+    ids=["binet", "matrix", "riordan-column", "riordan-row"],
+)
+def test_index_must_be_an_int(view, index):
+    with pytest.raises(TypeError, match="int"):
+        view(index)
