@@ -55,5 +55,5 @@ class EnumerationTooLarge(BinshiftError):
     """A brute-force enumeration would exceed the supported bound."""
 
 
-class NegativeInput(BinshiftError):
+class NegativeInput(BinshiftError, ValueError):
     """A count that must be nonnegative was negative."""

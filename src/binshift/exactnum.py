@@ -35,6 +35,8 @@ is the one place that brings a result into lowest terms.  :func:`unify` is
 the one place that joins the domains of a collection of values and
 promotes each into the result; containers built from values already
 computed in one joined domain skip it through their unchecked ``_of``.
+Counts and indices (a prefix length, a matrix power, a set size) are
+checked once, at the public function that takes them, by ``_count``.
 
 The transform, the root shift, the EGF and the OGF views run their
 kernel through ``_on_ints``, on one native-int column.  For a shift
@@ -84,7 +86,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, repeat, zip_longest
 
-from .errors import DivisionByZero, DomainMismatch, NonInvertibleDomain
+from .errors import DivisionByZero, DomainMismatch, NegativeInput, NonInvertibleDomain
 
 __all__ = [
     "Domain",
@@ -112,6 +114,18 @@ __all__ = [
 def _reject_float(value: object) -> None:
     if isinstance(value, float):
         raise TypeError("floating point values are not supported; use Fraction")
+
+
+def _count(n: object, what: str) -> int:
+    """``n``, checked as a count or an index at the public boundary: an
+    int that is not a bool (``TypeError`` otherwise) and nonnegative
+    (:class:`NegativeInput` otherwise).  The one such check of the
+    package, so no other module tests for a bool."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"{what} must be an int")
+    if n < 0:
+        raise NegativeInput(f"{what} must be nonnegative, got {n}")
+    return n
 
 
 def _as_fraction(value: object) -> Fraction:

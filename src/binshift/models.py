@@ -11,10 +11,16 @@ the shift-r binomial transform:
   subset of an n-set carrying an a_{|K|}-structure and the remaining n-|K|
   points each get one of r colors.  A brute-force enumerator over all 2^n
   subsets provides the combinatorial ground truth for small n.
+
+:class:`BinetForm` and :class:`MatrixModel` keep their values in
+``transform._OneDomain``, whose docstring states the rule: the public
+constructors join the domains with ``unify``, and computed results and
+promotions skip it through the unchecked ``_of``.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -29,6 +35,7 @@ from .exactnum import (
     RAT,
     Domain,
     Scalar,
+    _count,
     _numerators,
     _over_common_denominator,
     domain_of,
@@ -40,7 +47,7 @@ from .exactnum import (
     zero,
 )
 from .recurrence import CharPoly, Recurrence
-from .transform import PrefixLike, as_prefix
+from .transform import PrefixLike, _OneDomain, as_prefix
 
 __all__ = [
     "BinetForm",
@@ -57,25 +64,24 @@ __all__ = [
 ENUMERATION_LIMIT = 12
 
 
-class BinetForm:
+class BinetForm(_OneDomain):
     """Closed form a_n = sum_j c_j * rho_j^n with pairwise distinct roots.
 
     Weights and roots live in one field domain (rat or quad); integer
-    inputs are promoted to rationals.
+    inputs are promoted to rationals.  Stored flat in
+    ``transform._OneDomain`` as (c_0, rho_0, c_1, rho_1, ...).
     """
 
-    __slots__ = ("_terms", "_domain")
+    __slots__ = ()
 
     def __init__(self, terms: Iterable[tuple[Scalar, Scalar]]):
         pairs = [(c, rho) for c, rho in terms]
         if not pairs:
             raise ValueError("a closed form needs at least one term")
-        dom, flat = unify((x for pair in pairs for x in pair), RAT)
-        if dom.kind not in ("rat", "quad"):
-            raise DomainMismatch(f"closed forms need a field domain, got {dom}")
-        self._domain = dom
-        self._terms = tuple([*zip(flat[::2], flat[1::2])])
-        roots = [rho for _, rho in self._terms]
+        super().__init__([x for pair in pairs for x in pair], RAT)
+        if self._domain.kind not in ("rat", "quad"):
+            raise DomainMismatch(f"closed forms need a field domain, got {self._domain}")
+        roots = self._values[1::2]
         for i, x in enumerate(roots):
             for y in roots[i + 1 :]:
                 if x == y:
@@ -83,51 +89,44 @@ class BinetForm:
 
     @property
     def terms(self) -> tuple[tuple[Scalar, Scalar], ...]:
-        return self._terms
+        return tuple([*zip(self._values[::2], self._values[1::2])])
 
-    @property
-    def domain(self) -> Domain:
-        return self._domain
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BinetForm):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
+    def promoted(self, dom: Domain) -> "BinetForm":
+        if join_domains(self._domain, dom).kind == "poly":
+            raise DomainMismatch(f"closed forms need a field domain, got {dom}")
+        return super().promoted(dom)
 
     def __repr__(self) -> str:
         body = " + ".join(
-            f"({render_scalar(c)})*({render_scalar(rho)})^n"
-            for c, rho in self._terms
+            f"({render_scalar(c)})*({render_scalar(rho)})^n" for c, rho in self.terms
         )
         return f"BinetForm({body})"
 
 
 def binet_eval(form: BinetForm, n: int) -> Scalar:
     """The value a_n = sum_j c_j rho_j^n."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("index must be an int")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    (c, rho), *rest = form.terms
-    acc = c * rho**n
-    for c, rho in rest:
+    n = _count(n, "index")
+    vals = form._values
+    acc = vals[0] * vals[1] ** n
+    for c, rho in zip(vals[2::2], vals[3::2]):
         acc = acc + c * rho**n
     return acc
 
 
 def binet_shift(form: BinetForm, r: Scalar) -> BinetForm:
     """Closed form of the shift-r transform: same weights, roots + r."""
-    _, (rp, *roots) = unify((r, *(rho for _, rho in form.terms)), form.domain)
-    return BinetForm([(c, rho + rp) for (c, _), rho in zip(form.terms, roots)])
+    _, (rp, *roots) = unify((r, *form._values[1::2]), form.domain)
+    return BinetForm(zip(form._values[::2], [rho + rp for rho in roots]))
 
 
-class MatrixModel:
-    """Sequence a_n = u^T M^n v with an exact square matrix M."""
+class MatrixModel(_OneDomain):
+    """Sequence a_n = u^T M^n v with an exact square matrix M.
 
-    __slots__ = ("_matrix", "_u", "_v", "_domain")
+    Stored flat in ``transform._OneDomain`` as the rows of M, then u, then
+    v: dim^2 + 2 dim = (dim + 1)^2 - 1 values.
+    """
+
+    __slots__ = ()
 
     def __init__(
         self,
@@ -141,31 +140,25 @@ class MatrixModel:
             raise ValueError("matrix must be square and nonempty")
         if len(u) != dim or len(v) != dim:
             raise ValueError(f"u and v must have length {dim}")
-        self._domain, flat = unify([*(x for row in rows for x in row), *u, *v])
-        square = dim * dim
-        self._matrix = tuple([flat[i : i + dim] for i in range(0, square, dim)])
-        self._u = flat[square : square + dim]
-        self._v = flat[square + dim :]
+        super().__init__([*(x for row in rows for x in row), *u, *v])
 
     @property
     def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self._matrix
+        dim = self.dim
+        return tuple([self._values[i : i + dim] for i in range(0, dim * dim, dim)])
 
     @property
     def u(self) -> tuple[Scalar, ...]:
-        return self._u
+        dim = self.dim
+        return self._values[dim * dim : dim * dim + dim]
 
     @property
     def v(self) -> tuple[Scalar, ...]:
-        return self._v
+        return self._values[-self.dim :]
 
     @property
     def dim(self) -> int:
-        return len(self._matrix)
-
-    @property
-    def domain(self) -> Domain:
-        return self._domain
+        return math.isqrt(len(self._values) + 1) - 1
 
     def __repr__(self) -> str:
         return f"MatrixModel(dim={self.dim}, domain={self._domain})"
@@ -230,21 +223,17 @@ def matrix_transform_eval(model: MatrixModel, r: Scalar, n: int) -> Scalar:
     end: an int for an int target, one Fraction for a rat target, and
     one promotion and one product for a quad or poly target.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("index must be an int")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+    n = _count(n, "index")
     target = join_domains(model.domain, domain_of(r))
     nums, q = _numerators(r)
     s = r * q if len(nums) > 1 else sum(nums)  # sum(nums) is p at r = p/q
-    flat = [x for row in model.matrix for x in row]
-    u, w = model.u, model.v
+    dim = model.dim
+    flat, u, w = model._values[: dim * dim], model.u, model.v
     e = d_u = d_v = 1
     if model.domain.kind == "rat":
         flat, e = _over_common_denominator(flat)
         u, d_u = _over_common_denominator(u)
         w, d_v = _over_common_denominator(w)
-    dim = model.dim
     shifted = [[q * x for x in flat[i : i + dim]] for i in range(0, dim * dim, dim)]
     for i, row in enumerate(shifted):
         row[i] += s * e
@@ -270,12 +259,7 @@ def colored_count_bruteforce(a: PrefixLike, r: int, n: int) -> int:
     a = as_prefix(a)
     if a.domain.kind != "int":
         raise DomainMismatch(f"structure counts must be integers, got {a.domain}")
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise TypeError("color count must be an int")
-    if r < 0:
-        raise NegativeInput(f"color count must be nonnegative, got {r}")
-    if n < 0:
-        raise NegativeInput(f"set size must be nonnegative, got {n}")
+    r, n = _count(r, "color count"), _count(n, "set size")
     if n > ENUMERATION_LIMIT:
         raise EnumerationTooLarge(
             f"2^{n} subsets exceed the enumeration limit 2^{ENUMERATION_LIMIT}"

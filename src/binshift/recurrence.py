@@ -28,8 +28,10 @@ is built once with ``exactnum._from_int_columns``, over D E^n and over
 the one denominator D E.  Only an irrational Quad or a non-constant
 Poly coefficient keeps the loops on the scalars.
 
-:class:`CharPoly` keeps its coefficients in ``transform._OneDomain``,
-whose docstring states when results skip ``unify``.
+:class:`CharPoly` and :class:`Recurrence` keep their values in
+``transform._OneDomain``, whose docstring states the rule: the public
+constructors join the domains with ``unify``, and computed results and
+promotions skip it through the unchecked ``_of``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .errors import NonInvertibleDomain, NonMonic, PrefixTooShort
 from .exactnum import (
     Domain,
     Scalar,
+    _count,
     _from_int_columns,
     _int_columns,
     _joined,
@@ -139,14 +142,16 @@ def monic_normalized(p: CharPoly) -> CharPoly:
     return CharPoly._of([inv * c for c in p.coeffs], p.domain)
 
 
-class Recurrence:
+class Recurrence(_OneDomain):
     """A monic characteristic polynomial with its d initial terms.
 
     Determines a_n for every n >= d via
-    a_n = -(p_1 a_{n-1} + ... + p_d a_{n-d}).
+    a_n = -(p_1 a_{n-1} + ... + p_d a_{n-d}).  Stored flat in
+    ``transform._OneDomain`` as (p_0, ..., p_d, a_0, ..., a_(d-1)), 2d + 1
+    values: ``poly`` is the first d + 1 and ``init`` the rest.
     """
 
-    __slots__ = ("_poly", "_init")
+    __slots__ = ()
 
     def __init__(self, poly: CharPoly, init: Iterable[Scalar]):
         init_vals = list(init)
@@ -159,36 +164,23 @@ class Recurrence:
         poly = poly.promoted(dom)
         if not poly.is_monic:
             raise NonMonic(f"characteristic polynomial {poly.text()} is not monic")
-        self._poly = poly
-        self._init = init_vals
+        self._domain, self._values = dom, poly.coeffs + init_vals
 
     @property
     def poly(self) -> CharPoly:
-        return self._poly
+        return CharPoly._of(self._values[: self.degree + 1], self._domain)
 
     @property
     def init(self) -> tuple[Scalar, ...]:
-        return self._init
+        return self._values[self.degree + 1 :]
 
     @property
     def degree(self) -> int:
-        return self._poly.degree
-
-    @property
-    def domain(self) -> Domain:
-        return self._poly.domain
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Recurrence):
-            return self._poly == other._poly and self._init == other._init
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._poly, self._init))
+        return len(self._values) // 2
 
     def __repr__(self) -> str:
-        init = ", ".join(render_scalar(v) for v in self._init)
-        return f"Recurrence({self._poly.text()!r}, init=({init}))"
+        init = ", ".join(render_scalar(v) for v in self.init)
+        return f"Recurrence({self.poly.text()!r}, init=({init}))"
 
 
 def unroll(rec: Recurrence, n_max: int) -> SequencePrefix:
@@ -208,11 +200,10 @@ def unroll(rec: Recurrence, n_max: int) -> SequencePrefix:
     interpreter's index arithmetic, not the int arithmetic, sets the
     cost there.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    dom = rec.domain
-    coeffs = rec.poly.coeffs
-    init = list(rec.init[: n_max + 1])
+    n_max = _count(n_max, "n_max")
+    dom, d = rec.domain, rec.degree
+    coeffs = rec._values[: d + 1]  # rec.poly.coeffs, with no CharPoly built
+    init = list(rec._values[d + 1 : d + 2 + n_max])
     if dom.kind == "int":
         return SequencePrefix._of(_continued(coeffs, init, n_max), dom)
     (nums, *radical), e = _int_columns(coeffs, dom)

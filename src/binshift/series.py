@@ -43,6 +43,7 @@ from .errors import KindMismatch, OrderMismatch
 from .exactnum import (
     Domain,
     Scalar,
+    _count,
     _on_ints,
     domain_of,
     join_domains,
@@ -276,10 +277,7 @@ def riordan_entry(r: Scalar, n: int, k: int) -> Scalar:
     one product by an int.  The entry equals C(n, k) * r^(n-k) and
     vanishes for k > n.
     """
-    if any(not isinstance(i, int) or isinstance(i, bool) for i in (n, k)):
-        raise TypeError("row and column must be ints")
-    if n < 0 or k < 0:
-        raise ValueError("row and column must be nonnegative")
+    n, k = _count(n, "row"), _count(k, "column")
     dom = domain_of(r)
     if k > n:
         return zero(dom)

@@ -39,6 +39,7 @@ from .errors import PrefixTooShort
 from .exactnum import (
     Domain,
     Scalar,
+    _count,
     _on_ints,
     domain_of,
     join_domains,
@@ -57,18 +58,20 @@ __all__ = [
 
 
 class _OneDomain:
-    """Values of one scalar domain, stored as a tuple: the core of
-    :class:`SequencePrefix`, ``recurrence.CharPoly`` and
-    ``series.TruncSeries``.
+    """Values of one scalar domain, stored flat as a tuple: the core of
+    :class:`SequencePrefix`, ``recurrence.CharPoly``,
+    ``recurrence.Recurrence``, ``series.TruncSeries``,
+    ``models.BinetForm`` and ``models.MatrixModel``, whose views (a
+    polynomial, initial terms, pairs, rows) are read off the tuple.
 
     The public constructor joins the domains of the given values (further
     widened by the optional ``domain`` argument) with :func:`unify` and
     promotes every value into the join.  Results of arithmetic on values
-    of one joined domain are built by the unchecked :meth:`_of`, which
-    skips that per-value join.  Containers are immutable and compare by
-    value with their own class only, so a prefix of ``Fraction`` values
-    equals the integer prefix it came from, but not a ``CharPoly`` with
-    the same values.
+    of one joined domain, and promotions, are built by the unchecked
+    :meth:`_of`, which skips that per-value join.  Containers are
+    immutable and compare by value with their own class only, so a
+    prefix of ``Fraction`` values equals the integer prefix it came from,
+    but not a ``CharPoly`` with the same values.
     """
 
     __slots__ = ("_domain", "_values")
@@ -94,7 +97,7 @@ class _OneDomain:
         target = join_domains(self._domain, dom)
         if target == self._domain:
             return self
-        return type(self)(self._values, target)
+        return self._of([promote(v, target) for v in self._values], target)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, type(self)):
@@ -131,9 +134,7 @@ class SequencePrefix(_OneDomain):
 
     def truncated(self, n_max: int) -> "SequencePrefix":
         """The sub-prefix of indices 0..n_max."""
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        if n_max >= len(self._values):
+        if _count(n_max, "n_max") >= len(self._values):
             raise PrefixTooShort(
                 f"prefix has {len(self._values)} terms, need {n_max + 1}"
             )
@@ -166,10 +167,7 @@ def apply_transform(
     ``r``, so an integer prefix shifted by 1/2 yields rationals.
     """
     a = as_prefix(a)
-    if n_max is None:
-        n_max = len(a) - 1
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = len(a) - 1 if n_max is None else _count(n_max, "n_max")
     if n_max > len(a) - 1:
         raise PrefixTooShort(
             f"prefix has {len(a)} terms, need {n_max + 1} for index {n_max}"
@@ -201,8 +199,4 @@ def iterated_binomial(
     a: PrefixLike, m: int, n_max: int | None = None
 ) -> SequencePrefix:
     """The classical binomial transform applied ``m`` times (shift m)."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise TypeError("iteration count must be an int")
-    if m < 0:
-        raise ValueError("iteration count must be nonnegative")
-    return apply_transform(a, m, n_max)
+    return apply_transform(a, _count(m, "iteration count"), n_max)

@@ -53,6 +53,11 @@ SQUAREFREE = "tests/test_exactnum.py::TestSquarefree"
 INT_COLUMNS = ("tests/test_exactnum.py::TestIntColumns",)
 ORACLE = ("tests/test_exactnum_oracle.py::TestAgainstFractionReference",)
 MATRIX = "tests/test_models.py::TestMatrixIntPathDifferential::test_matches_scalar_route"
+COUNTS = "tests/test_view_guards.py::test_counts_checked_at_the_boundary"
+COUNT_TYPE = """    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"{what} must be an int")"""
+COUNT_SIGN = """    if n < 0:
+        raise NegativeInput(f"{what} must be nonnegative, got {n}")"""
 
 MUTANTS = (
     # the root-shift route
@@ -511,7 +516,7 @@ MUTANTS = (
     Mutant(
         "promoted-skips-the-promotion",
         "transform.py",
-        "return type(self)(self._values, target)",
+        "return self._of([promote(v, target) for v in self._values], target)",
         "return self",
         (
             "tests/test_transform.py::test_prefix_promotion_round_trip",
@@ -560,6 +565,57 @@ MUTANTS = (
         "return total * promote(Fraction(1, den), target)",
         "return promote(total, target)",
         (MATRIX,),
+    ),
+    # the flat layouts of the other one-domain objects
+    Mutant(
+        "binet-terms-swapped",
+        "models.py",
+        "tuple([*zip(self._values[::2], self._values[1::2])])",
+        "tuple([*zip(self._values[1::2], self._values[::2])])",
+        ("tests/test_models.py::TestValueSemantics::test_binet_layout",),
+    ),
+    Mutant(
+        "binet-promoted-into-a-poly-domain",
+        "models.py",
+        'if join_domains(self._domain, dom).kind == "poly":',
+        "if False:",
+        ("tests/test_models.py::TestValueSemantics::test_binet_promoted_into_a_poly_domain",),
+    ),
+    Mutant(
+        "matrix-u-reads-v",
+        "models.py",
+        "return self._values[dim * dim : dim * dim + dim]",
+        "return self._values[-dim:]",
+        ("tests/test_models.py::TestValueSemantics::test_matrix_layout",),
+    ),
+    Mutant(
+        "matrix-dim-one-too-high",
+        "models.py",
+        "return math.isqrt(len(self._values) + 1) - 1",
+        "return math.isqrt(len(self._values) + 1)",
+        ("tests/test_models.py::TestValueSemantics::test_matrix_layout",),
+    ),
+    Mutant(
+        "recurrence-init-sliced-from-the-poly",
+        "recurrence.py",
+        "return self._values[self.degree + 1 :]",
+        "return self._values[self.degree :]",
+        ("tests/test_recurrence.py::TestRecurrenceValues::test_layout",),
+    ),
+    # the one count check
+    Mutant(
+        "count-accepts-a-bool",
+        "exactnum.py",
+        COUNT_TYPE,
+        COUNT_TYPE.replace(" or isinstance(n, bool)", ""),
+        (f"{COUNTS}[apply_transform-n_max-bool]",),
+    ),
+    Mutant(
+        "count-accepts-a-negative",
+        "exactnum.py",
+        COUNT_SIGN,
+        COUNT_SIGN.replace("n < 0", "False"),
+        (f"{COUNTS}[unroll-n_max-negative]",),
     ),
     # the CLI's help width
     Mutant(

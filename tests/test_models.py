@@ -16,12 +16,16 @@ from binshift.errors import (
     PrefixTooShort,
 )
 from binshift.exactnum import (
+    INT,
+    RAT,
     Poly,
     Quad,
     domain_of,
     join_domains,
     one,
+    poly_domain,
     promote,
+    quad_domain,
     unify,
     zero,
 )
@@ -37,7 +41,7 @@ from binshift.models import (
     model_from_recurrence,
 )
 from binshift.recurrence import CharPoly, Recurrence, unroll
-from binshift.transform import apply_transform
+from binshift.transform import SequencePrefix, apply_transform
 
 from exact_strategies import assert_same_scalars, prefixes_st, shifts_st
 
@@ -180,6 +184,88 @@ class TestMatrixModel:
         for n in range(8):
             once_each = matrix_transform_eval(model, 3, n)
             assert once_each == matrix_transform_eval(model, 1 + 2, n)
+
+
+class TestValueSemantics:
+    """Both models keep their values flat in the one-domain core: they
+    compare and hash by value, never equal another class holding the same
+    values, and stay valid when promoted into a wider domain."""
+
+    def test_binet_layout(self):
+        assert MERSENNE_FORM.terms == ((1, 2), (-1, 1))
+        assert FIB_FORM.terms == (
+            (Quad(0, Fraction(1, 5), 5), PHI),
+            (Quad(0, Fraction(-1, 5), 5), PSI),
+        )
+
+    def test_binet_equal_values(self):
+        same = BinetForm([(Fraction(1), 2), (-1, Fraction(1))])
+        assert same == MERSENNE_FORM
+        assert hash(same) == hash(MERSENNE_FORM)
+        assert MERSENNE_FORM != BinetForm([(1, 2), (-1, 3)])
+        assert MERSENNE_FORM != BinetForm([(2, 1), (1, -1)])
+
+    def test_binet_never_equals_another_class(self):
+        form = BinetForm([(1, 2)])
+        for other in (SequencePrefix((1, 2), RAT), CharPoly((1, 2), RAT)):
+            assert form.domain == other.domain
+            assert form != other and other != form
+
+    def test_binet_promoted(self):
+        assert MERSENNE_FORM.promoted(INT) is MERSENNE_FORM
+        wide = MERSENNE_FORM.promoted(quad_domain(5))
+        assert wide.domain == quad_domain(5)
+        assert wide == MERSENNE_FORM
+        assert all(isinstance(x, Quad) for pair in wide.terms for x in pair)
+        assert [binet_eval(wide, n) for n in range(6)] == [0, 1, 3, 7, 15, 31]
+        assert binet_shift(wide, PHI) == binet_shift(MERSENNE_FORM, PHI)
+
+    def test_binet_promoted_into_a_poly_domain(self):
+        with pytest.raises(DomainMismatch) as raised:
+            MERSENNE_FORM.promoted(poly_domain("x"))
+        assert str(raised.value) == "closed forms need a field domain, got poly(x)"
+        with pytest.raises(DomainMismatch):
+            FIB_FORM.promoted(poly_domain("x"))
+
+    def test_matrix_layout(self):
+        model = MatrixModel([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [10, 11, 12], [13, 14, 15])
+        assert model.dim == 3
+        assert model.matrix == ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+        assert model.u == (10, 11, 12)
+        assert model.v == (13, 14, 15)
+        assert MatrixModel([[2]], [3], [4]).dim == 1
+
+    def test_matrix_equal_values(self):
+        fib = MatrixModel([[0, 1], [1, 1]], [1, 0], [0, 1])
+        same = MatrixModel(((Fraction(0), 1), (1, 1)), (1, 0), [0, Fraction(1)])
+        assert same is not fib
+        assert same == fib
+        assert hash(same) == hash(fib)
+        assert len({fib, same}) == 1
+        assert fib != MatrixModel([[0, 1], [1, 1]], [0, 1], [1, 0])
+        assert fib != MatrixModel([[1, 1], [1, 0]], [1, 0], [0, 1])
+
+    def test_matrix_never_equals_another_class(self):
+        model = MatrixModel([[2]], [1], [1])
+        for other in (
+            SequencePrefix((2, 1, 1)),
+            CharPoly((2, 1, 1)),
+            Recurrence(CharPoly((1, 1)), (1,)),
+        ):
+            assert model != other and other != model
+
+    def test_matrix_promoted(self):
+        fib = MatrixModel([[0, 1], [1, 1]], [1, 0], [0, 1])
+        assert fib.promoted(INT) is fib
+        for dom in (RAT, quad_domain(5), poly_domain("x")):
+            wide = fib.promoted(dom)
+            assert wide.domain == dom
+            assert wide == fib
+            assert (wide.matrix, wide.u, wide.v) == (fib.matrix, fib.u, fib.v)
+            assert {domain_of(x) for x in wide.u} == {dom}
+            got = [matrix_transform_eval(wide, 1, n) for n in range(5)]
+            assert got == [0, 1, 3, 8, 21]
+            assert {domain_of(x) for x in got} == {dom}
 
 
 def count_by_materializing(values, r, n):

@@ -153,6 +153,56 @@ class TestRecurrenceUnroll:
             Recurrence(CharPoly((2, -1)), (1,))
 
 
+class TestRecurrenceValues:
+    """A recurrence keeps its polynomial and initial terms flat in the
+    one-domain core: it compares and hashes by value, never equals another
+    class holding the same values, stays valid when promoted, and checks
+    the length, then the values, then monicity."""
+
+    def test_layout(self):
+        rec = Recurrence(CharPoly((1, -4, 5, -6)), (7, 8, 9))
+        assert rec.degree == 3
+        assert rec.poly == CharPoly((1, -4, 5, -6))
+        assert rec.init == (7, 8, 9)
+        assert rec.domain == INT
+
+    def test_equal_values(self):
+        rec = Recurrence(FIB_POLY, (0, 1))
+        same = Recurrence(CharPoly((1, Fraction(-1), -1)), (Fraction(0), 1))
+        assert same == rec
+        assert hash(same) == hash(rec)
+        assert rec != Recurrence(FIB_POLY, (1, 0))
+        assert rec != Recurrence(MERSENNE_POLY, (0, 1))
+
+    def test_never_equals_another_class(self):
+        rec = Recurrence(CharPoly((1, -2)), (1,))
+        for other in (rec.poly, CharPoly((1, -2, 1)), SequencePrefix((1, -2, 1))):
+            assert rec != other and other != rec
+
+    def test_promoted(self):
+        rec = Recurrence(FIB_POLY, (0, 1))
+        assert rec.promoted(INT) is rec
+        for dom in (RAT, quad_domain(5), poly_domain("x")):
+            wide = rec.promoted(dom)
+            assert wide.domain == wide.poly.domain == dom
+            assert wide == rec
+            assert wide.poly.is_monic
+            assert {domain_of(x) for x in wide.init} == {dom}
+            assert unroll(wide, 9).values == unroll(rec, 9).values
+
+    def test_error_order(self):
+        with pytest.raises(ValueError, match="exactly 2 initial terms, got 1"):
+            Recurrence(FIB_POLY, [1.5])  # the length before the values
+        with pytest.raises(TypeError):
+            Recurrence(FIB_POLY, [1.5, 1])
+        with pytest.raises(ValueError, match="got 1"):
+            Recurrence(CharPoly((2, -1, 1)), [1])  # the length before monicity
+        with pytest.raises(TypeError):
+            Recurrence(CharPoly((2, -1, 1)), [1.5, 1])  # the values before monicity
+        with pytest.raises(NonMonic):
+            Recurrence(CharPoly((2, -1, 1)), [1, 1])
+
+
 class TestApplyCharOperator:
     def test_annihilates_own_sequence(self):
         rec = Recurrence(FIB_POLY, (0, 1))

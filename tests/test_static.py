@@ -5,7 +5,10 @@
   ring loop is defined once, in ``_kernels``.
 * The one-domain containers share the storage, unchecked constructor,
   promotion and equality of ``transform._OneDomain``; only
-  ``TruncSeries``, whose kind takes part, redefines them.
+  ``TruncSeries``, whose kind takes part, redefines them, and
+  ``BinetForm`` its promotion, which refuses a polynomial domain.
+* Only ``exactnum`` tests for a bool: every count and index goes
+  through ``exactnum._count``.
 * The int-numerator layout of ``Poly`` and ``Quad`` stays behind
   ``exactnum``: no other module reads ``_nums``, ``_den`` or ``_tag`` or
   calls a ``_numerators`` method; they call ``exactnum._numerators``.
@@ -91,6 +94,22 @@ def test_numerator_layout_read_only_in_exactnum():
     assert reads == []
 
 
+def test_bool_checked_only_in_exactnum():
+    """Counts and indices are checked by ``exactnum._count``: no other
+    module names ``bool`` in an ``isinstance`` call."""
+    checks = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "exactnum.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and any(isinstance(n, ast.Name) and n.id == "bool" for a in node.args for n in ast.walk(a))
+    ]
+    assert checks == []
+
+
 def _methods(cls_node):
     return {node.name for node in cls_node.body if isinstance(node, ast.FunctionDef)}
 
@@ -115,7 +134,10 @@ class TestOneDomainCore:
         assert redefined == {
             "SequencePrefix": set(),
             "CharPoly": set(),
+            "Recurrence": set(),
             "TruncSeries": {"_of", "promoted", "__eq__", "__hash__"},
+            "BinetForm": {"promoted"},
+            "MatrixModel": set(),
         }
 
 

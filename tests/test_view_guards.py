@@ -15,7 +15,10 @@
   Fractions only for the results, not per term, and the matrix view
   keeps a rat model on ints.  At an irrational Quad or a non-constant
   Poly shift the matrix view promotes no more than its result.
-* The Binet, matrix and Riordan views take only ints as indices.
+* The Binet, matrix and Riordan views take only ints as indices, and
+  every public count or index is checked at the boundary by
+  ``exactnum._count``: a bool, a float or a Fraction is a ``TypeError``
+  and a negative int a ``NegativeInput``, before any arithmetic.
 """
 
 import contextlib
@@ -29,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binshift import _kernels, exactnum
+from binshift.errors import NegativeInput
 from binshift.exactnum import Poly, Quad, domain_of, join_domains, one, promote, unify
 from binshift.families import family_binet_form, family_prefix, family_recurrence
 from binshift.models import (
@@ -36,6 +40,7 @@ from binshift.models import (
     MatrixModel,
     binet_eval,
     binet_shift,
+    colored_count_bruteforce,
     matrix_transform_eval,
     model_from_recurrence,
 )
@@ -60,7 +65,7 @@ from binshift.series import (
     series_from_prefix,
     series_mul,
 )
-from binshift.transform import SequencePrefix, apply_transform
+from binshift.transform import SequencePrefix, apply_transform, iterated_binomial
 from binshift.verify import _double_sum, _naive_substitution_shift, run_suite
 
 from exact_strategies import double_sum, prefixes_st, shifts_st
@@ -314,3 +319,38 @@ class TestMatrixViewPromotesOnce:
 def test_index_must_be_an_int(view, index):
     with pytest.raises(TypeError, match="int"):
         view(index)
+
+
+FIB4 = (0, 1, 1, 2)
+COUNTS = {
+    "apply_transform-n_max": ("n_max", lambda i: apply_transform(FIB4, 1, i)),
+    "truncated-n_max": ("n_max", lambda i: SequencePrefix(FIB4).truncated(i)),
+    "iterated_binomial-m": ("iteration count", lambda i: iterated_binomial(FIB4, i)),
+    "unroll-n_max": ("n_max", lambda i: unroll(family_recurrence("fibonacci"), i)),
+    "binet_eval-n": ("index", lambda i: binet_eval(JACOBSTHAL_FORM, i)),
+    "matrix_transform_eval-n": ("index", lambda i: matrix_transform_eval(FIB_MODEL, 1, i)),
+    "riordan_entry-n": ("row", lambda i: riordan_entry(2, i, 1)),
+    "riordan_entry-k": ("column", lambda i: riordan_entry(2, 3, i)),
+    "colored_count-r": ("color count", lambda i: colored_count_bruteforce(FIB4, i, 2)),
+    "colored_count-n": ("set size", lambda i: colored_count_bruteforce(FIB4, 2, i)),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (True, TypeError, "{} must be an int"),
+        (1.0, TypeError, "{} must be an int"),
+        (Fraction(1), TypeError, "{} must be an int"),
+        (-1, NegativeInput, "{} must be nonnegative, got -1"),
+    ],
+    ids=["bool", "float", "fraction", "negative"],
+)
+@pytest.mark.parametrize("argument", COUNTS)
+def test_counts_checked_at_the_boundary(argument, bad, error, message):
+    """The message is ``exactnum._count``'s: the argument is refused
+    before any slicing, power or enumeration could read it."""
+    what, call = COUNTS[argument]
+    with pytest.raises(error) as raised:
+        call(bad)
+    assert str(raised.value) == message.format(what)
